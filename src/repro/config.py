@@ -13,7 +13,6 @@ the simulator to reject inconsistent configurations early.
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field, replace
 from typing import Literal, Mapping
 
@@ -23,21 +22,13 @@ from .units import DEFAULT_CLOCK_GHZ, is_power_of_two
 IndexSelection = Literal["dynamic", "static"]
 RuntimeKind = Literal["software", "tdm", "carbon", "task_superscalar"]
 
-#: Storage/execution backends of the columnar DMU core (``repro.core.backends``).
-#: Defined here rather than in the backends package so that ``validate`` does
-#: not need to import ``repro.core`` (which itself imports this module).
-DMU_BACKENDS = ("pure", "accel")
-
-
-def _default_dmu_backend() -> str:
-    """Default DMU backend: ``REPRO_BACKEND`` from the environment, else pure.
-
-    The env knob lets a whole process tree (most importantly a CI test run)
-    select a backend without threading ``--backend`` through every entry
-    point.  Unknown values are rejected by ``DMUConfig.validate`` exactly
-    like an explicit field value.
-    """
-    return os.environ.get("REPRO_BACKEND") or "pure"
+#: Fixed member of the serialized ``"dmu"`` section, as (name, value).
+#: Older code wrote the name of its DMU implementation there, so every result
+#: and cache entry carries this member; :meth:`SimulationConfig.to_dict` keeps
+#: emitting it so serialized bytes (and the digests over them) stay identical.
+#: :meth:`SimulationConfig.from_dict` drops whatever value it finds, and
+#: canonical run keys never included it.  Changing it is a cache-format change.
+LEGACY_DMU_MEMBER = ("backend", "pure")
 
 
 @dataclass(frozen=True)
@@ -66,14 +57,6 @@ class DMUConfig:
     index_selection: IndexSelection = "dynamic"
     static_index_start_bit: int = 0
     unlimited: bool = False
-    #: Storage/execution backend of the columnar core.  ``pure`` is plain
-    #: Python; ``accel`` uses specialized kernels + numpy audit scans and
-    #: falls back to ``pure`` (with a warning) when numpy is unavailable.
-    #: Backends are execution strategies, not semantics: results are
-    #: byte-identical, and :func:`repro.experiments.cache.canonical_run_key`
-    #: deliberately excludes this field.  The default honors the
-    #: ``REPRO_BACKEND`` environment variable (unset/empty means ``pure``).
-    backend: str = field(default_factory=_default_dmu_backend)
 
     @property
     def task_table_entries(self) -> int:
@@ -133,10 +116,6 @@ class DMUConfig:
             raise ConfigurationError(f"unknown index_selection: {self.index_selection}")
         if self.static_index_start_bit < 0 or self.static_index_start_bit > 40:
             raise ConfigurationError("static_index_start_bit out of range [0, 40]")
-        if self.backend not in DMU_BACKENDS:
-            raise ConfigurationError(
-                f"unknown DMU backend: {self.backend!r} (expected one of {DMU_BACKENDS})"
-            )
 
     def with_sizes(self, **kwargs: int) -> "DMUConfig":
         """Return a copy with some sizing fields replaced (used by sweeps)."""
@@ -333,10 +312,6 @@ class SimulationConfig:
         """Return a copy using a different DMU configuration."""
         return replace(self, dmu=dmu)
 
-    def with_dmu_backend(self, backend: str) -> "SimulationConfig":
-        """Return a copy whose DMU core uses a different storage backend."""
-        return replace(self, dmu=replace(self.dmu, backend=backend))
-
     # ------------------------------------------------------------------ serialization
     def to_dict(self) -> dict:
         """Nested plain-dict form (JSON-safe) covering *every* field.
@@ -344,9 +319,14 @@ class SimulationConfig:
         This is the payload hashed by :func:`repro.experiments.cache.canonical_run_key`
         and stored alongside cached simulation results, so it must stay
         lossless: any field that can change simulation output has to appear.
-        ``dataclasses.asdict`` guarantees that automatically.
+        ``dataclasses.asdict`` guarantees that automatically.  The ``"dmu"``
+        section also carries the fixed :data:`LEGACY_DMU_MEMBER`, which
+        canonical run keys leave out.
         """
-        return dataclasses.asdict(self)
+        payload = dataclasses.asdict(self)
+        name, value = LEGACY_DMU_MEMBER
+        payload["dmu"][name] = value
+        return payload
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "SimulationConfig":
@@ -354,9 +334,11 @@ class SimulationConfig:
         payload = dict(data)
         chip = dict(payload.pop("chip"))
         core = CoreConfig(**dict(chip.pop("core")))
+        dmu = dict(payload.pop("dmu"))
+        dmu.pop(LEGACY_DMU_MEMBER[0], None)
         return cls(
             chip=ChipConfig(core=core, **chip),
-            dmu=DMUConfig(**dict(payload.pop("dmu"))),
+            dmu=DMUConfig(**dmu),
             costs=CostModelConfig(**dict(payload.pop("costs"))),
             locality=LocalityConfig(**dict(payload.pop("locality"))),
             **payload,

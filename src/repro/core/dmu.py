@@ -10,7 +10,7 @@ structurally:
   dynamic index-bit selection of Section V-E),
 * per-task and per-dependence metadata live in the direct-access Task Table
   and Dependence Table — stored as parallel columns indexed by the internal
-  ID, which the instruction paths below read and write directly,
+  ID, which the instruction kernels below read and write directly,
 * successor / dependence / reader lists live in inode-style list arrays
   (flat columnar slabs, int handles),
 * ready task IDs are exposed through a FIFO Ready Queue,
@@ -23,6 +23,30 @@ structurally:
   :class:`~repro.core.isa.DMUBlocked`; the simulated core retries when
   capacity is freed, which models the blocking/barrier semantics of the TDM
   ISA instructions.
+
+Instruction kernels
+-------------------
+
+The five ISA instructions are methods of :class:`DependenceManagementUnit`,
+and each one delegates to a kernel that :func:`_build_kernels` creates once
+per DMU.  The per-instruction cost on CPython is almost entirely interpreter
+overhead around tiny data (every hot scan touches at most
+``elements_per_list_entry`` slots or ``associativity`` ways), so the kernels
+remove that overhead rather than vectorize anything:
+
+* every column, free stack and pooled result object is a closure cell, not
+  a ``self._...`` attribute chain;
+* the single-entry-chain fast paths of the list arrays (the overwhelmingly
+  common shape) and the Task/Dependence Table installs and frees are
+  inlined; the general shapes fall back to the structures' own methods;
+* the ~10 statistics counters an instruction touches accumulate in one flat
+  pending list, committed by :attr:`DependenceManagementUnit.stats` (and
+  :meth:`~DependenceManagementUnit.dat_average_occupied_sets`) before any
+  external read, so observed totals are exact.
+
+The instructions stay methods defined on the class, not kernels bound as
+instance attributes: callers (and any instrumentation that wraps the class)
+always go through ``DependenceManagementUnit.<instruction>``.
 
 Result objects are pooled: each instruction mutates and returns a shared
 per-type instance (see :mod:`repro.core.isa` for the caller contract), so
@@ -55,7 +79,6 @@ from typing import Dict, Union
 from ..config import DMUConfig
 from ..errors import DMUProtocolError, UnknownTaskError
 from .alias_table import AliasTable
-from .backends import resolve_backend
 from .dependence_table import DependenceTable
 from .isa import (
     AddDependenceResult,
@@ -65,7 +88,7 @@ from .isa import (
     FinishTaskResult,
     GetReadyTaskResult,
 )
-from .list_array import ListArray
+from .list_array import INVALID_ELEMENT, ListArray
 from .ready_queue import ReadyQueue
 from .stats import DMUStats
 from .task_table import TaskTable
@@ -83,7 +106,35 @@ DLA = "DLA"
 RLA = "RLA"
 READY_QUEUE = "ReadyQ"
 
-_NO_READERS: tuple = ()
+# Pending-counter cells: one flat list shared by the five kernels of a DMU.
+# Structure accesses...
+_P_TAT = 0
+_P_DAT = 1
+_P_TT = 2
+_P_DT = 3
+_P_SLA = 4
+_P_DLA = 5
+_P_RLA = 6
+_P_RQ = 7
+# ...instruction counts...
+_P_I_CREATE = 8
+_P_I_ADD = 9
+_P_I_COMPLETE = 10
+_P_I_FINISH = 11
+_P_I_READY = 12
+# ...DMUStats scalars...
+_P_CYCLES = 13
+_P_CREATED = 14
+_P_FINISHED = 15
+_P_DEPS = 16
+_P_READY_POPS = 17
+_P_NULL_POPS = 18
+# ...alias-table bookkeeping.
+_P_TAT_LOOKUPS = 19
+_P_DAT_LOOKUPS = 20
+_P_OCC_SAMPLES = 21
+_P_OCC_TOTAL = 22
+_P_CELLS = 23
 
 
 class DependenceManagementUnit:
@@ -92,17 +143,8 @@ class DependenceManagementUnit:
     def __init__(self, config: DMUConfig) -> None:
         config.validate()
         self.config = config
-        # Resolve the storage/execution backend once; every structure shares
-        # the instance.  ``accel`` degrades to ``pure`` (with a warning) when
-        # numpy is unavailable — results are identical either way.
-        backend = resolve_backend(config.backend)
-        self.backend = backend
         self.tat = AliasTable(
-            TAT,
-            config.tat_entries,
-            config.tat_associativity,
-            index_start_bit=6,
-            backend=backend,
+            TAT, config.tat_entries, config.tat_associativity, index_start_bit=6
         )
         self.dat = AliasTable(
             DAT,
@@ -110,40 +152,30 @@ class DependenceManagementUnit:
             config.dat_associativity,
             index_start_bit=config.static_index_start_bit,
             dynamic_index=(config.index_selection == "dynamic"),
-            backend=backend,
         )
-        self.task_table = TaskTable(config.task_table_entries, backend=backend)
-        self.dependence_table = DependenceTable(
-            config.dependence_table_entries, backend=backend
-        )
+        self.task_table = TaskTable(config.task_table_entries)
+        self.dependence_table = DependenceTable(config.dependence_table_entries)
         # Successor and dependence lists are append-only between allocation
         # and release (only reader lists see remove/flush), which lets the
         # list array compute charged walk lengths arithmetically.
         self.successor_lists = ListArray(
             SLA, config.successor_list_entries, config.elements_per_list_entry,
-            append_only=True, backend=backend,
+            append_only=True,
         )
         self.dependence_lists = ListArray(
             DLA, config.dependence_list_entries, config.elements_per_list_entry,
-            append_only=True, backend=backend,
+            append_only=True,
         )
         self.reader_lists = ListArray(
-            RLA, config.reader_list_entries, config.elements_per_list_entry,
-            backend=backend,
+            RLA, config.reader_list_entries, config.elements_per_list_entry
         )
-        self.ready_queue = ReadyQueue(config.ready_queue_entries, backend=backend)
+        self.ready_queue = ReadyQueue(config.ready_queue_entries)
         self._stats = DMUStats()
-        #: Deferred-counter commit hook.  The pure backend keeps it None (its
-        #: instruction paths update ``_stats`` directly); the accel backend's
-        #: kernels batch counter updates and install a flush callable here,
-        #: which the :attr:`stats` property invokes before every external read.
-        self._stats_sync = None
         access_cycles = config.access_cycles
-        self._access_cycles = access_cycles
-        # Pooled result objects, one per instruction type: the hot return
-        # paths mutate these in place (see repro.core.isa for the caller
-        # contract).  A null ready-pop always looks the same, so it has its
-        # own frozen instance; create_task always costs the same 5 accesses.
+        # Pooled result objects, one per instruction type: the kernels mutate
+        # these in place (see repro.core.isa for the caller contract).  A null
+        # ready-pop always looks the same, so it has its own instance;
+        # create_task always costs the same 5 accesses.
         self._create_result = CreateTaskResult(5 * access_cycles, -1)
         self._add_result = AddDependenceResult(0, -1, 0)
         self._complete_result = CompleteCreationResult(0, False)
@@ -153,62 +185,27 @@ class DependenceManagementUnit:
             cycles=access_cycles, descriptor_address=None
         )
         self._blocked_result = DMUBlocked("")
-        # Cached column references (the structures mutate their columns in
-        # place — extend/append only — so the list identities are stable for
-        # the DMU's lifetime).  The instruction paths below index these
-        # directly instead of going through an attribute chain plus a method
-        # call per field; that is the point of the columnar layout.
-        task_table = self.task_table
-        self._tt_descriptor = task_table.descriptor_address
-        self._tt_pred = task_table.predecessor_count
-        self._tt_succ = task_table.successor_count
-        self._tt_succ_list = task_table.successor_list
-        self._tt_dep_list = task_table.dependence_list
-        self._tt_complete = task_table.creation_complete
-        dependence_table = self.dependence_table
-        self._dt_valid = dependence_table.valid
-        self._dt_last_writer = dependence_table.last_writer
-        self._dt_lw_valid = dependence_table.last_writer_valid
-        self._dt_reader_list = dependence_table.reader_list
-        self._dt_address = dependence_table.address
-        # Per-list counters (meaningful at head handles) for the empty-list
-        # fast paths, plus tail + per-entry-valid columns for the O(1)
-        # uncharged capacity pre-checks.  The pre-checks test *tail entry*
-        # fullness — the pinned pre-rewrite semantics of
-        # ``appending_needs_new_entry`` (see that method's docstring).
-        self._sla_list_valid = self.successor_lists._list_valid
-        self._sla_tail = self.successor_lists._tail
-        self._sla_valid = self.successor_lists._valid
-        self._dla_list_valid = self.dependence_lists._list_valid
-        self._dla_tail = self.dependence_lists._tail
-        self._dla_valid = self.dependence_lists._valid
-        self._rla_list_valid = self.reader_lists._list_valid
-        self._rla_tail = self.reader_lists._tail
-        self._rla_valid = self.reader_lists._valid
-        self._per_entry = config.elements_per_list_entry
-        self._tat_by_address = self.tat._by_address
-        self._dat_by_address = self.dat._by_address
-        self._ready_push = self.ready_queue.push
-        self._ready_pop = self.ready_queue.pop
-        # Let the backend rebind the instruction entry points on this
-        # instance (no-op for pure): the structures and cached column
-        # references above are final, so kernels may close over them.
-        backend.install(self)
+        # The structures above are final, so the kernels may close over them.
+        (
+            self._flush_counters,
+            self._create_task,
+            self._add_dependence,
+            self._complete_creation,
+            self._finish_task,
+            self._get_ready_task,
+        ) = _build_kernels(self)
 
     # ------------------------------------------------------------------ helpers
     @property
     def stats(self) -> DMUStats:
-        """The DMU statistics, with any deferred backend counters committed.
-
-        The accel backend batches its counter updates; reading through this
-        property flushes them first, so external readers (the runtime models,
-        the differential tests) always observe the same totals the pure
-        backend maintains eagerly.
-        """
-        sync = self._stats_sync
-        if sync is not None:
-            sync()
+        """The DMU statistics, with the kernels' pending counters committed."""
+        self._flush_counters()
         return self._stats
+
+    def dat_average_occupied_sets(self) -> float:
+        """Mean occupied DAT sets per ``add_dependence`` (pending samples committed)."""
+        self._flush_counters()
+        return self.dat.average_occupied_sets()
 
     @property
     def in_flight_tasks(self) -> int:
@@ -225,24 +222,13 @@ class DependenceManagementUnit:
         """Number of task IDs currently waiting in the Ready Queue."""
         return len(self.ready_queue)
 
-    def _cycles(self, accesses: int) -> int:
-        return accesses * self.config.access_cycles
-
-    def _lookup_task(self, descriptor_address: int) -> int:
-        task_id = self.tat.lookup(descriptor_address)
-        if task_id is None:
-            raise UnknownTaskError(
-                f"task descriptor {descriptor_address:#x} is not tracked by the DMU"
-            )
-        return task_id
-
     def _blocked(self, structure: str) -> DMUBlocked:
         self._stats.record_blocked(structure)
         result = self._blocked_result
         result.structure = structure
         return result
 
-    # ------------------------------------------------------------------ create_task
+    # ------------------------------------------------------------------ ISA
     def create_task(self, descriptor_address: int) -> CreateOutcome:
         """Register a new task (ISA ``create_task``).
 
@@ -251,40 +237,8 @@ class DependenceManagementUnit:
         Always five SRAM accesses: associative TAT lookup + directory write,
         one fresh entry in each of SLA and DLA, one Task Table write.
         """
-        tat = self.tat
-        if descriptor_address in self._tat_by_address:
-            raise DMUProtocolError(
-                f"task descriptor {descriptor_address:#x} created twice"
-            )
-        successor_lists = self.successor_lists
-        dependence_lists = self.dependence_lists
-        # Capacity pre-check: TAT way + ID, one SLA entry, one DLA entry.
-        if not tat.can_allocate(descriptor_address):
-            return self._blocked(TAT)
-        if successor_lists.free_entries < 1:
-            return self._blocked(SLA)
-        if dependence_lists.free_entries < 1:
-            return self._blocked(DLA)
+        return self._create_task(descriptor_address)
 
-        task_id = tat.allocate(descriptor_address)
-        successor_list = successor_lists.new_list_head()
-        dependence_list = dependence_lists.new_list_head()
-        self.task_table.install(task_id, descriptor_address, successor_list, dependence_list)
-
-        stats = self._stats
-        structure_accesses = stats.structure_accesses
-        structure_accesses[TAT] += 2
-        structure_accesses[SLA] += 1
-        structure_accesses[DLA] += 1
-        structure_accesses[TASK_TABLE] += 1
-        result = self._create_result
-        stats.instructions["create_task"] += 1
-        stats.total_cycles += result.cycles
-        stats.tasks_created += 1
-        result.task_id = task_id
-        return result
-
-    # ------------------------------------------------------------------ add_dependence
     def add_dependence(
         self,
         descriptor_address: int,
@@ -297,343 +251,19 @@ class DependenceManagementUnit:
         Implements Algorithm 1 of the paper with exact capacity pre-checks so
         a blocked instruction leaves no partial state behind.
         """
-        if direction == "out":
-            is_out = True
-        elif direction == "in":
-            is_out = False
-        else:
-            raise DMUProtocolError(f"invalid dependence direction: {direction!r}")
-        tat = self.tat
-        tat.lookups += 1
-        task_id = self._tat_by_address.get(descriptor_address)
-        if task_id is None:
-            raise UnknownTaskError(
-                f"task descriptor {descriptor_address:#x} is not tracked by the DMU"
-            )
-        successor_lists = self.successor_lists
-        dependence_lists = self.dependence_lists
-        reader_lists = self.reader_lists
-        stats = self._stats
-        dat = self.dat
-        per_entry = self._per_entry
+        return self._add_dependence(descriptor_address, dependence_address, size, direction)
 
-        dat.lookups += 1
-        dep_id = self._dat_by_address.get(dependence_address)
-        dep_is_new = dep_id is None
-        readers = _NO_READERS
-        if dep_is_new:
-            reader_list = -1
-            writer_id = -1
-            # --- capacity pre-checks (uncharged; Blocked order is pinned:
-            # DAT, DLA, SLA, RLA) -----------------------------------------
-            if not dat.can_allocate(dependence_address, size):
-                return self._blocked(DAT)
-        else:
-            reader_list = self._dt_reader_list[dep_id]
-            writer_id = self._dt_last_writer[dep_id] if self._dt_lw_valid[dep_id] else -1
-            if is_out and reader_list >= 0:
-                # The WAR pass below consumes the reader set; ``in`` accesses
-                # never do, so the (uncharged) materialization is skipped.
-                readers, _ = reader_lists.iterate(reader_list)
-
-        # O(1) capacity pre-checks: tail-entry fullness via the maintained
-        # tail column — the pinned pre-rewrite ``appending_needs_new_entry``
-        # semantics (for the append-only SLA/DLA, tail-full and
-        # no-free-slot-anywhere coincide; for reader lists with remove()
-        # holes they do not, and blocking behavior follows the tail).
-        task_dependence_list = self._tt_dep_list[task_id]
-        dla_valid = self._dla_valid
-        if dla_valid[self._dla_tail[task_dependence_list]] == per_entry and (
-            dependence_lists.free_entries < 1
-        ):
-            return self._blocked(DLA)
-
-        task_successor_lists = self._tt_succ_list
-        sla_tail = self._sla_tail
-        sla_valid = self._sla_valid
-        needed_sla = 0
-        if writer_id >= 0 and writer_id != task_id:
-            if sla_valid[sla_tail[task_successor_lists[writer_id]]] == per_entry:
-                needed_sla += 1
-        if is_out:
-            for reader_id in readers:
-                if reader_id == task_id:
-                    continue
-                if sla_valid[sla_tail[task_successor_lists[reader_id]]] == per_entry:
-                    needed_sla += 1
-        if needed_sla and successor_lists.free_entries < needed_sla:
-            return self._blocked(SLA)
-
-        if not is_out:
-            if reader_list < 0:
-                needed_rla = 1
-            else:
-                needed_rla = (
-                    1 if self._rla_valid[self._rla_tail[reader_list]] == per_entry else 0
-                )
-            if needed_rla and reader_lists.free_entries < 1:
-                return self._blocked(RLA)
-
-        # --- mutation phase (charged accesses identical to the object-based
-        # implementation) --------------------------------------------------
-        structure_accesses = stats.structure_accesses
-        accesses = 3  # TAT lookup + Task Table read + DAT lookup
-        structure_accesses[TAT] += 1
-        structure_accesses[TASK_TABLE] += 1
-        structure_accesses[DAT] += 1
-        if dep_is_new:
-            dep_id = dat.allocate(dependence_address, size)
-            self.dependence_table.install(dep_id, dependence_address, size)
-            accesses += 2  # DAT directory write + Dependence Table install
-            structure_accesses[DAT] += 1
-            structure_accesses[DEP_TABLE] += 1
-        else:
-            accesses += 1  # Dependence Table read
-            structure_accesses[DEP_TABLE] += 1
-
-        predecessors_added = 0
-        task_predecessor_count = self._tt_pred
-        task_successor_count = self._tt_succ
-
-        # "Insert depID in dependence list of taskID"
-        dla_accesses = dependence_lists.append(task_dependence_list, dep_id)
-        accesses += dla_accesses
-        structure_accesses[DLA] += dla_accesses
-
-        # "if lastWriterID of depID is valid": RAW / WAW / WAR-with-writer edge.
-        if writer_id >= 0 and writer_id != task_id:
-            sla_accesses = successor_lists.append(task_successor_lists[writer_id], task_id)
-            accesses += sla_accesses + 2  # successor insert + two counter updates
-            structure_accesses[SLA] += sla_accesses
-            structure_accesses[TASK_TABLE] += 2
-            task_successor_count[writer_id] += 1
-            task_predecessor_count[task_id] += 1
-            predecessors_added = 1
-
-        if not is_out:
-            # "Insert taskID in reader list of depID"
-            if reader_list < 0:
-                reader_list = reader_lists.new_list_head()
-                self._dt_reader_list[dep_id] = reader_list
-                accesses += 1
-                structure_accesses[RLA] += 1
-            rla_accesses = reader_lists.append(reader_list, task_id)
-            accesses += rla_accesses
-            structure_accesses[RLA] += rla_accesses
-        else:
-            # WAR edges: every current reader gains this task as a successor.
-            # (Counter updates accumulated in locals, committed once below.)
-            sla_append = successor_lists.append
-            war_sla_accesses = 0
-            war_edges = 0
-            for reader_id in readers:
-                if reader_id == task_id:
-                    continue
-                war_sla_accesses += sla_append(task_successor_lists[reader_id], task_id)
-                task_successor_count[reader_id] += 1
-                war_edges += 1
-            if war_edges:
-                accesses += war_sla_accesses + 2 * war_edges
-                structure_accesses[SLA] += war_sla_accesses
-                structure_accesses[TASK_TABLE] += 2 * war_edges
-                task_predecessor_count[task_id] += war_edges
-                predecessors_added += war_edges
-            # "Flush reader list of depID"
-            if reader_list >= 0:
-                rla_accesses = reader_lists.flush(reader_list)
-                accesses += rla_accesses
-                structure_accesses[RLA] += rla_accesses
-            # "Set lastWriterID of depID to taskID and mark valid"
-            self._dt_last_writer[dep_id] = task_id
-            self._dt_lw_valid[dep_id] = 1
-            accesses += 1
-            structure_accesses[DEP_TABLE] += 1
-
-        # dat.sample_occupancy(), inlined (once per add_dependence).
-        dat._occupied_set_samples += 1
-        dat._occupied_set_total += dat._occupied_sets
-        cycles = accesses * self._access_cycles
-        stats.instructions["add_dependence"] += 1
-        stats.total_cycles += cycles
-        stats.dependences_added += 1
-        result = self._add_result
-        result.cycles = cycles
-        result.dependence_id = dep_id
-        result.predecessors_added = predecessors_added
-        return result
-
-    # ------------------------------------------------------------------ creation completion
     def complete_creation(self, descriptor_address: int) -> CompleteCreationResult:
         """Mark a task's registration complete; enqueue it if already ready."""
-        self.tat.lookups += 1
-        task_id = self._tat_by_address.get(descriptor_address)
-        if task_id is None:
-            raise UnknownTaskError(
-                f"task descriptor {descriptor_address:#x} is not tracked by the DMU"
-            )
-        creation_complete = self._tt_complete
-        if creation_complete[task_id]:
-            raise DMUProtocolError(
-                f"task descriptor {descriptor_address:#x} completed creation twice"
-            )
-        creation_complete[task_id] = 1
-        stats = self._stats
-        accesses = 2  # TAT lookup + Task Table read/update
-        structure_accesses = stats.structure_accesses
-        structure_accesses[TAT] += 1
-        structure_accesses[TASK_TABLE] += 1
-        became_ready = False
-        if self._tt_pred[task_id] == 0:
-            self._ready_push(task_id)
-            accesses += 1
-            structure_accesses[READY_QUEUE] += 1
-            became_ready = True
-        cycles = accesses * self._access_cycles
-        stats.instructions["complete_creation"] += 1
-        stats.total_cycles += cycles
-        result = self._complete_result
-        result.cycles = cycles
-        result.became_ready = became_ready
-        return result
+        return self._complete_creation(descriptor_address)
 
-    # ------------------------------------------------------------------ finish_task
     def finish_task(self, descriptor_address: int) -> FinishTaskResult:
         """Retire a finished task (ISA ``finish_task``); Algorithm 2 of the paper."""
-        tat = self.tat
-        tat.lookups += 1
-        task_id = self._tat_by_address.get(descriptor_address)
-        if task_id is None:
-            raise UnknownTaskError(
-                f"task descriptor {descriptor_address:#x} is not tracked by the DMU"
-            )
-        stats = self._stats
-        structure_accesses = stats.structure_accesses
-        accesses = 2  # TAT lookup + Task Table read
-        structure_accesses[TAT] += 1
-        structure_accesses[TASK_TABLE] += 1
-        tasks_woken = 0
-        successor_list = self._tt_succ_list[task_id]
-        dependence_list = self._tt_dep_list[task_id]
+        return self._finish_task(descriptor_address)
 
-        # First loop: wake up successors.  Counter updates for the loop are
-        # accumulated in locals and committed once (identical totals).  An
-        # empty successor list (valid total 0, single-entry chain) skips the
-        # iterate walk entirely — same one charged access, no list built.
-        if self._sla_list_valid[successor_list] == 0:
-            accesses += 1
-            structure_accesses[SLA] += 1
-        else:
-            ready_queue_push = self._ready_push
-            successors, sla_accesses = self.successor_lists.iterate(successor_list)
-            num_successors = len(successors)
-            accesses += sla_accesses + num_successors
-            structure_accesses[SLA] += sla_accesses
-            structure_accesses[TASK_TABLE] += num_successors
-            predecessor_count = self._tt_pred
-            creation_complete = self._tt_complete
-            for successor_id in successors:
-                remaining = predecessor_count[successor_id] - 1
-                predecessor_count[successor_id] = remaining
-                if remaining == 0:
-                    if creation_complete[successor_id]:
-                        ready_queue_push(successor_id)
-                        tasks_woken += 1
-                elif remaining < 0:
-                    raise DMUProtocolError(
-                        f"task id {successor_id} predecessor count went negative"
-                    )
-            accesses += tasks_woken
-            structure_accesses[READY_QUEUE] += tasks_woken
-
-        # Second loop: clean this task out of its dependences (same
-        # empty-list fast path as above).
-        dependence_table = self.dependence_table
-        reader_lists = self.reader_lists
-        if self._dla_list_valid[dependence_list] == 0:
-            accesses += 1
-            structure_accesses[DLA] += 1
-        else:
-            dat_release = self.dat.release
-            dependences, dla_accesses = self.dependence_lists.iterate(dependence_list)
-            accesses += dla_accesses
-            structure_accesses[DLA] += dla_accesses
-            dep_valid = self._dt_valid
-            dep_reader_list = self._dt_reader_list
-            dep_last_writer = self._dt_last_writer
-            dep_last_writer_valid = self._dt_lw_valid
-            rla_list_valid = self._rla_list_valid
-            dep_table_accesses = 0
-            rla_accesses_total = 0
-            dat_releases = 0
-            for dep_id in dependences:
-                if not dep_valid[dep_id]:
-                    # The dependence entry was already recycled by an earlier
-                    # occurrence of the same address in this task's list.
-                    continue
-                dep_table_accesses += 1
-                reader_list = dep_reader_list[dep_id]
-                if reader_list >= 0:
-                    _found, rla_accesses = reader_lists.remove(reader_list, task_id)
-                    rla_accesses_total += rla_accesses
-                writer_valid = dep_last_writer_valid[dep_id]
-                if writer_valid and dep_last_writer[dep_id] == task_id:
-                    dep_last_writer[dep_id] = -1
-                    dep_last_writer_valid[dep_id] = 0
-                    writer_valid = 0
-                    dep_table_accesses += 1
-                if not writer_valid and (reader_list < 0 or rla_list_valid[reader_list] == 0):
-                    if reader_list >= 0:
-                        rla_accesses_total += reader_lists.free_list(reader_list)
-                    dependence_table.free(dep_id)
-                    dep_table_accesses += 1
-                    dat_release(self._dt_address[dep_id])
-                    dat_releases += 1
-            accesses += dep_table_accesses + rla_accesses_total + dat_releases
-            structure_accesses[DEP_TABLE] += dep_table_accesses
-            structure_accesses[RLA] += rla_accesses_total
-            structure_accesses[DAT] += dat_releases
-
-        # Free the task's own resources.
-        sla_free_accesses = self.successor_lists.free_list(successor_list)
-        accesses += sla_free_accesses
-        structure_accesses[SLA] += sla_free_accesses
-        dla_free_accesses = self.dependence_lists.free_list(dependence_list)
-        accesses += dla_free_accesses
-        structure_accesses[DLA] += dla_free_accesses
-        self.task_table.free(task_id)
-        accesses += 1
-        structure_accesses[TASK_TABLE] += 1
-        self.tat.release(descriptor_address)
-        accesses += 1
-        structure_accesses[TAT] += 1
-
-        cycles = accesses * self._access_cycles
-        stats.instructions["finish_task"] += 1
-        stats.total_cycles += cycles
-        stats.tasks_finished += 1
-        result = self._finish_result
-        result.cycles = cycles
-        result.tasks_woken = tasks_woken
-        return result
-
-    # ------------------------------------------------------------------ get_ready_task
     def get_ready_task(self) -> GetReadyTaskResult:
         """Pop the next ready task (ISA ``get_ready_task``)."""
-        stats = self._stats
-        stats.structure_accesses[READY_QUEUE] += 1
-        stats.instructions["get_ready_task"] += 1
-        task_id = self._ready_pop()
-        if task_id is None:
-            stats.total_cycles += self._access_cycles
-            stats.null_ready_pops += 1
-            return self._null_ready_result
-        stats.structure_accesses[TASK_TABLE] += 1
-        result = self._ready_result
-        stats.total_cycles += result.cycles
-        stats.ready_pops += 1
-        result.descriptor_address = self._tt_descriptor[task_id]
-        result.num_successors = self._tt_succ[task_id]
-        return result
+        return self._get_ready_task()
 
     # ------------------------------------------------------------------ introspection
     def capacity_snapshot(self) -> Dict[str, int]:
@@ -663,3 +293,600 @@ class DependenceManagementUnit:
             problems.append(f"{len(self.ready_queue)} ready-queue entries")
         if problems:
             raise DMUProtocolError("DMU not empty at end of program: " + ", ".join(problems))
+
+
+def _build_kernels(dmu: DependenceManagementUnit) -> tuple:  # noqa: C901
+    """Build the counter flush and the five instruction kernels of ``dmu``.
+
+    Returns ``(flush, create_task, add_dependence, complete_creation,
+    finish_task, get_ready_task)``.  Every kernel charges the same accesses,
+    attributes them to the same structures, blocks on the same structure in
+    the same pre-check order (DAT, DLA, SLA, RLA), raises the same errors and
+    recycles IDs and list entries in the same LIFO order as the straight-line
+    instruction bodies ``tests/reference_dmu.py`` preserves; the differential
+    tests drive both in lockstep.
+    """
+    pend = [0] * _P_CELLS
+    stats = dmu._stats
+
+    tat = dmu.tat
+    dat = dmu.dat
+    tat_by = tat._by_address
+    dat_by = dat._by_address
+    tat_can_allocate = tat.can_allocate
+    tat_allocate = tat.allocate
+    tat_release = tat.release
+    dat_can_allocate = dat.can_allocate
+    dat_allocate = dat.allocate
+    dat_release = dat.release
+
+    task_table = dmu.task_table
+    tt_descriptor = task_table.descriptor_address
+    tt_pred = task_table.predecessor_count
+    tt_succ = task_table.successor_count
+    tt_succ_list = task_table.successor_list
+    tt_dep_list = task_table.dependence_list
+    tt_complete = task_table.creation_complete
+    tt_valid = task_table.valid
+    tt_install = task_table.install
+
+    dependence_table = dmu.dependence_table
+    dt_last_writer = dependence_table.last_writer
+    dt_lw_valid = dependence_table.last_writer_valid
+    dt_reader_list = dependence_table.reader_list
+    dt_valid = dependence_table.valid
+    dt_address = dependence_table.address
+    dt_size = dependence_table.size
+    dt_grow_to = dependence_table._grow_to
+
+    per = dmu.config.elements_per_list_entry
+    access_cycles = dmu.config.access_cycles
+
+    sla = dmu.successor_lists
+    sla_elements = sla._elements
+    sla_next = sla._next
+    sla_in_use = sla._in_use
+    sla_valid = sla._valid
+    sla_list_valid = sla._list_valid
+    sla_list_entries = sla._list_entries
+    sla_tail = sla._tail
+    sla_recycled = sla._recycled
+    sla_blank = sla._blank_row
+    sla_num_entries = sla.num_entries
+    sla_allocate_entry = sla._allocate_entry
+    sla_append = sla.append
+    sla_iterate = sla.iterate
+    sla_free_list = sla.free_list
+
+    dla = dmu.dependence_lists
+    dla_elements = dla._elements
+    dla_next = dla._next
+    dla_in_use = dla._in_use
+    dla_valid = dla._valid
+    dla_list_valid = dla._list_valid
+    dla_list_entries = dla._list_entries
+    dla_tail = dla._tail
+    dla_recycled = dla._recycled
+    dla_blank = dla._blank_row
+    dla_num_entries = dla.num_entries
+    dla_allocate_entry = dla._allocate_entry
+    dla_append = dla.append
+    dla_iterate = dla.iterate
+    dla_free_list = dla.free_list
+
+    rla = dmu.reader_lists
+    rla_valid = rla._valid
+    rla_list_valid = rla._list_valid
+    rla_tail = rla._tail
+    rla_new_list_head = rla.new_list_head
+    rla_append = rla.append
+    rla_iterate = rla.iterate
+    rla_remove = rla.remove
+    rla_flush = rla.flush
+    rla_free_list = rla.free_list
+
+    ready_queue = dmu.ready_queue
+    rq_queue = ready_queue._queue
+    rq_popleft = rq_queue.popleft
+    ready_push = ready_queue.push
+
+    blocked = dmu._blocked
+    create_result = dmu._create_result
+    add_result = dmu._add_result
+    complete_result = dmu._complete_result
+    finish_result = dmu._finish_result
+    ready_result = dmu._ready_result
+    null_ready_result = dmu._null_ready_result
+    create_cycles = create_result.cycles
+    no_readers = ()
+
+    # ---------------------------------------------------------- flush
+    # (cell, Counter, key) and (cell, object, attribute) commit targets.
+    structure_accesses = stats.structure_accesses
+    instructions = stats.instructions
+    counter_cells = (
+        (_P_TAT, structure_accesses, TAT),
+        (_P_DAT, structure_accesses, DAT),
+        (_P_TT, structure_accesses, TASK_TABLE),
+        (_P_DT, structure_accesses, DEP_TABLE),
+        (_P_SLA, structure_accesses, SLA),
+        (_P_DLA, structure_accesses, DLA),
+        (_P_RLA, structure_accesses, RLA),
+        (_P_RQ, structure_accesses, READY_QUEUE),
+        (_P_I_CREATE, instructions, "create_task"),
+        (_P_I_ADD, instructions, "add_dependence"),
+        (_P_I_COMPLETE, instructions, "complete_creation"),
+        (_P_I_FINISH, instructions, "finish_task"),
+        (_P_I_READY, instructions, "get_ready_task"),
+    )
+    scalar_cells = (
+        (_P_CYCLES, stats, "total_cycles"),
+        (_P_CREATED, stats, "tasks_created"),
+        (_P_FINISHED, stats, "tasks_finished"),
+        (_P_DEPS, stats, "dependences_added"),
+        (_P_READY_POPS, stats, "ready_pops"),
+        (_P_NULL_POPS, stats, "null_ready_pops"),
+        (_P_TAT_LOOKUPS, tat, "lookups"),
+        (_P_DAT_LOOKUPS, dat, "lookups"),
+        (_P_OCC_SAMPLES, dat, "_occupied_set_samples"),
+        (_P_OCC_TOTAL, dat, "_occupied_set_total"),
+    )
+
+    def flush() -> None:
+        """Commit every pending counter.
+
+        Zero-valued cells are skipped so the Counter mappings never gain a
+        key that no instruction has touched.
+        """
+        for cell, counts, key in counter_cells:
+            value = pend[cell]
+            if value:
+                counts[key] += value
+                pend[cell] = 0
+        for cell, owner, attribute in scalar_cells:
+            value = pend[cell]
+            if value:
+                setattr(owner, attribute, getattr(owner, attribute) + value)
+                pend[cell] = 0
+
+    # ---------------------------------------------------------- create_task
+    def create_task(descriptor_address):
+        if descriptor_address in tat_by:
+            raise DMUProtocolError(
+                f"task descriptor {descriptor_address:#x} created twice"
+            )
+        if not tat_can_allocate(descriptor_address):
+            return blocked(TAT)
+        if sla.free_entries < 1:
+            return blocked(SLA)
+        if dla.free_entries < 1:
+            return blocked(DLA)
+
+        task_id = tat_allocate(descriptor_address)
+        # Inlined sla.new_list_head() (recycled-entry fast path; the
+        # pre-check above guarantees a free entry exists).
+        if sla_recycled:
+            successor_list = sla_recycled.pop()
+            sla_in_use[successor_list] = 1
+            free = sla.free_entries - 1
+            sla.free_entries = free
+            in_use_count = sla_num_entries - free
+            if in_use_count > sla.peak_entries_used:
+                sla.peak_entries_used = in_use_count
+        else:
+            successor_list = sla_allocate_entry()
+        sla_list_valid[successor_list] = 0
+        sla_list_entries[successor_list] = 1
+        sla_tail[successor_list] = successor_list
+        # Inlined dla.new_list_head().
+        if dla_recycled:
+            dependence_list = dla_recycled.pop()
+            dla_in_use[dependence_list] = 1
+            free = dla.free_entries - 1
+            dla.free_entries = free
+            in_use_count = dla_num_entries - free
+            if in_use_count > dla.peak_entries_used:
+                dla.peak_entries_used = in_use_count
+        else:
+            dependence_list = dla_allocate_entry()
+        dla_list_valid[dependence_list] = 0
+        dla_list_entries[dependence_list] = 1
+        dla_tail[dependence_list] = dependence_list
+        # Inlined task_table.install() (in-range fast path; TAT IDs are
+        # dense in [0, num_entries) by construction).
+        if task_id >= task_table._size:
+            tt_install(task_id, descriptor_address, successor_list, dependence_list)
+        else:
+            if tt_valid[task_id]:
+                raise DMUProtocolError(f"Task Table entry {task_id} is already in use")
+            tt_descriptor[task_id] = descriptor_address
+            tt_pred[task_id] = 0
+            tt_succ[task_id] = 0
+            tt_succ_list[task_id] = successor_list
+            tt_dep_list[task_id] = dependence_list
+            tt_complete[task_id] = 0
+            tt_valid[task_id] = 1
+            occupancy = task_table._occupancy + 1
+            task_table._occupancy = occupancy
+            if occupancy > task_table.peak_occupancy:
+                task_table.peak_occupancy = occupancy
+
+        pend[_P_TAT] += 2
+        pend[_P_SLA] += 1
+        pend[_P_DLA] += 1
+        pend[_P_TT] += 1
+        pend[_P_I_CREATE] += 1
+        pend[_P_CYCLES] += create_cycles
+        pend[_P_CREATED] += 1
+        create_result.task_id = task_id
+        return create_result
+
+    # ---------------------------------------------------------- add_dependence
+    def add_dependence(descriptor_address, dependence_address, size, direction):
+        if direction == "out":
+            is_out = True
+        elif direction == "in":
+            is_out = False
+        else:
+            raise DMUProtocolError(f"invalid dependence direction: {direction!r}")
+        pend[_P_TAT_LOOKUPS] += 1
+        task_id = tat_by.get(descriptor_address)
+        if task_id is None:
+            raise UnknownTaskError(
+                f"task descriptor {descriptor_address:#x} is not tracked by the DMU"
+            )
+        pend[_P_DAT_LOOKUPS] += 1
+        dep_id = dat_by.get(dependence_address)
+        dep_is_new = dep_id is None
+        readers = no_readers
+        if dep_is_new:
+            reader_list = -1
+            writer_id = -1
+            # Capacity pre-checks (uncharged; Blocked order is pinned:
+            # DAT, DLA, SLA, RLA).
+            if not dat_can_allocate(dependence_address, size):
+                return blocked(DAT)
+        else:
+            reader_list = dt_reader_list[dep_id]
+            writer_id = dt_last_writer[dep_id] if dt_lw_valid[dep_id] else -1
+            if is_out and reader_list >= 0:
+                readers, _ = rla_iterate(reader_list)
+
+        task_dependence_list = tt_dep_list[task_id]
+        if dla_valid[dla_tail[task_dependence_list]] == per and dla.free_entries < 1:
+            return blocked(DLA)
+
+        needed_sla = 0
+        if writer_id >= 0 and writer_id != task_id:
+            if sla_valid[sla_tail[tt_succ_list[writer_id]]] == per:
+                needed_sla += 1
+        if is_out:
+            for reader_id in readers:
+                if reader_id == task_id:
+                    continue
+                if sla_valid[sla_tail[tt_succ_list[reader_id]]] == per:
+                    needed_sla += 1
+        if needed_sla and sla.free_entries < needed_sla:
+            return blocked(SLA)
+
+        if not is_out:
+            if reader_list < 0:
+                needed_rla = 1
+            else:
+                needed_rla = 1 if rla_valid[rla_tail[reader_list]] == per else 0
+            if needed_rla and rla.free_entries < 1:
+                return blocked(RLA)
+
+        # Mutation phase.
+        accesses = 3  # TAT lookup + Task Table read + DAT lookup
+        pend[_P_TAT] += 1
+        pend[_P_TT] += 1
+        if dep_is_new:
+            dep_id = dat_allocate(dependence_address, size)
+            # Inlined dependence_table.install() (DAT IDs are dense in
+            # range by construction).
+            if dep_id >= dependence_table._size:
+                dt_grow_to(dep_id + 1)
+            elif dt_valid[dep_id]:
+                raise DMUProtocolError(
+                    f"Dependence Table entry {dep_id} is already in use"
+                )
+            dt_last_writer[dep_id] = -1
+            dt_lw_valid[dep_id] = 0
+            dt_reader_list[dep_id] = -1
+            dt_valid[dep_id] = 1
+            dt_address[dep_id] = dependence_address
+            dt_size[dep_id] = size
+            occupancy = dependence_table._occupancy + 1
+            dependence_table._occupancy = occupancy
+            if occupancy > dependence_table.peak_occupancy:
+                dependence_table.peak_occupancy = occupancy
+            accesses += 2  # DAT directory write + Dependence Table install
+            pend[_P_DAT] += 2
+            pend[_P_DT] += 1
+        else:
+            accesses += 1  # Dependence Table read
+            pend[_P_DAT] += 1
+            pend[_P_DT] += 1
+
+        predecessors_added = 0
+
+        # "Insert depID in dependence list of taskID" — inlined
+        # append-only append (tail-not-full fast path).  The marker
+        # comparison keeps the fast path from storing the invalid-element
+        # value; the general append raises for it.
+        tail = dla_tail[task_dependence_list]
+        tail_valid = dla_valid[tail]
+        if tail_valid < per and dep_id != INVALID_ELEMENT:
+            dla_elements[tail * per + tail_valid] = dep_id
+            dla_valid[tail] = tail_valid + 1
+            dla_list_valid[task_dependence_list] += 1
+            dla_accesses = dla_list_entries[task_dependence_list]
+        else:
+            dla_accesses = dla_append(task_dependence_list, dep_id)
+        accesses += dla_accesses
+        pend[_P_DLA] += dla_accesses
+
+        # RAW / WAW / WAR-with-writer edge.
+        if writer_id >= 0 and writer_id != task_id:
+            head = tt_succ_list[writer_id]
+            tail = sla_tail[head]
+            tail_valid = sla_valid[tail]
+            if tail_valid < per and task_id != INVALID_ELEMENT:
+                sla_elements[tail * per + tail_valid] = task_id
+                sla_valid[tail] = tail_valid + 1
+                sla_list_valid[head] += 1
+                sla_accesses = sla_list_entries[head]
+            else:
+                sla_accesses = sla_append(head, task_id)
+            accesses += sla_accesses + 2
+            pend[_P_SLA] += sla_accesses
+            pend[_P_TT] += 2
+            tt_succ[writer_id] += 1
+            tt_pred[task_id] += 1
+            predecessors_added = 1
+
+        if not is_out:
+            # "Insert taskID in reader list of depID"
+            if reader_list < 0:
+                reader_list = rla_new_list_head()
+                dt_reader_list[dep_id] = reader_list
+                accesses += 1
+                pend[_P_RLA] += 1
+            rla_accesses = rla_append(reader_list, task_id)
+            accesses += rla_accesses
+            pend[_P_RLA] += rla_accesses
+        else:
+            # WAR edges: every current reader gains this task as a successor.
+            war_sla_accesses = 0
+            war_edges = 0
+            for reader_id in readers:
+                if reader_id == task_id:
+                    continue
+                head = tt_succ_list[reader_id]
+                tail = sla_tail[head]
+                tail_valid = sla_valid[tail]
+                if tail_valid < per and task_id != INVALID_ELEMENT:
+                    sla_elements[tail * per + tail_valid] = task_id
+                    sla_valid[tail] = tail_valid + 1
+                    sla_list_valid[head] += 1
+                    war_sla_accesses += sla_list_entries[head]
+                else:
+                    war_sla_accesses += sla_append(head, task_id)
+                tt_succ[reader_id] += 1
+                war_edges += 1
+            if war_edges:
+                accesses += war_sla_accesses + 2 * war_edges
+                pend[_P_SLA] += war_sla_accesses
+                pend[_P_TT] += 2 * war_edges
+                tt_pred[task_id] += war_edges
+                predecessors_added += war_edges
+            # "Flush reader list of depID"
+            if reader_list >= 0:
+                rla_accesses = rla_flush(reader_list)
+                accesses += rla_accesses
+                pend[_P_RLA] += rla_accesses
+            # "Set lastWriterID of depID to taskID and mark valid"
+            dt_last_writer[dep_id] = task_id
+            dt_lw_valid[dep_id] = 1
+            accesses += 1
+            pend[_P_DT] += 1
+
+        # dat.sample_occupancy(), batched.
+        pend[_P_OCC_SAMPLES] += 1
+        pend[_P_OCC_TOTAL] += dat._occupied_sets
+        cycles = accesses * access_cycles
+        pend[_P_I_ADD] += 1
+        pend[_P_CYCLES] += cycles
+        pend[_P_DEPS] += 1
+        add_result.cycles = cycles
+        add_result.dependence_id = dep_id
+        add_result.predecessors_added = predecessors_added
+        return add_result
+
+    # ---------------------------------------------------------- complete_creation
+    def complete_creation(descriptor_address):
+        pend[_P_TAT_LOOKUPS] += 1
+        task_id = tat_by.get(descriptor_address)
+        if task_id is None:
+            raise UnknownTaskError(
+                f"task descriptor {descriptor_address:#x} is not tracked by the DMU"
+            )
+        if tt_complete[task_id]:
+            raise DMUProtocolError(
+                f"task descriptor {descriptor_address:#x} completed creation twice"
+            )
+        tt_complete[task_id] = 1
+        accesses = 2  # TAT lookup + Task Table read/update
+        pend[_P_TAT] += 1
+        pend[_P_TT] += 1
+        became_ready = False
+        if tt_pred[task_id] == 0:
+            ready_push(task_id)
+            accesses += 1
+            pend[_P_RQ] += 1
+            became_ready = True
+        cycles = accesses * access_cycles
+        pend[_P_I_COMPLETE] += 1
+        pend[_P_CYCLES] += cycles
+        complete_result.cycles = cycles
+        complete_result.became_ready = became_ready
+        return complete_result
+
+    # ---------------------------------------------------------- finish_task
+    def finish_task(descriptor_address):
+        pend[_P_TAT_LOOKUPS] += 1
+        task_id = tat_by.get(descriptor_address)
+        if task_id is None:
+            raise UnknownTaskError(
+                f"task descriptor {descriptor_address:#x} is not tracked by the DMU"
+            )
+        accesses = 2  # TAT lookup + Task Table read
+        pend[_P_TAT] += 1
+        pend[_P_TT] += 1
+        tasks_woken = 0
+        successor_list = tt_succ_list[task_id]
+        dependence_list = tt_dep_list[task_id]
+
+        # First loop: wake up successors (inlined single-entry-chain
+        # iterate — append-only lists fill left to right with no holes).
+        if sla_list_valid[successor_list] == 0:
+            accesses += 1
+            pend[_P_SLA] += 1
+        else:
+            if sla_next[successor_list] == successor_list:
+                entry_valid = sla_valid[successor_list]
+                base = successor_list * per
+                successors = sla_elements[base : base + entry_valid]
+                sla_accesses = 1
+            else:
+                successors, sla_accesses = sla_iterate(successor_list)
+            num_successors = len(successors)
+            accesses += sla_accesses + num_successors
+            pend[_P_SLA] += sla_accesses
+            pend[_P_TT] += num_successors
+            for successor_id in successors:
+                remaining = tt_pred[successor_id] - 1
+                tt_pred[successor_id] = remaining
+                if remaining == 0:
+                    if tt_complete[successor_id]:
+                        ready_push(successor_id)
+                        tasks_woken += 1
+                elif remaining < 0:
+                    raise DMUProtocolError(
+                        f"task id {successor_id} predecessor count went negative"
+                    )
+            accesses += tasks_woken
+            pend[_P_RQ] += tasks_woken
+
+        # Second loop: clean this task out of its dependences.
+        if dla_list_valid[dependence_list] == 0:
+            accesses += 1
+            pend[_P_DLA] += 1
+        else:
+            if dla_next[dependence_list] == dependence_list:
+                entry_valid = dla_valid[dependence_list]
+                base = dependence_list * per
+                dependences = dla_elements[base : base + entry_valid]
+                dla_accesses = 1
+            else:
+                dependences, dla_accesses = dla_iterate(dependence_list)
+            accesses += dla_accesses
+            pend[_P_DLA] += dla_accesses
+            dep_table_accesses = 0
+            rla_accesses_total = 0
+            dat_releases = 0
+            for dep_id in dependences:
+                if not dt_valid[dep_id]:
+                    # Already recycled by an earlier occurrence of the
+                    # same address in this task's list.
+                    continue
+                dep_table_accesses += 1
+                reader_list = dt_reader_list[dep_id]
+                if reader_list >= 0:
+                    _found, rla_accesses = rla_remove(reader_list, task_id)
+                    rla_accesses_total += rla_accesses
+                writer_valid = dt_lw_valid[dep_id]
+                if writer_valid and dt_last_writer[dep_id] == task_id:
+                    dt_last_writer[dep_id] = -1
+                    dt_lw_valid[dep_id] = 0
+                    writer_valid = 0
+                    dep_table_accesses += 1
+                if not writer_valid and (
+                    reader_list < 0 or rla_list_valid[reader_list] == 0
+                ):
+                    if reader_list >= 0:
+                        rla_accesses_total += rla_free_list(reader_list)
+                    # Inlined dependence_table.free().
+                    dt_valid[dep_id] = 0
+                    dependence_table._occupancy -= 1
+                    dep_table_accesses += 1
+                    dat_release(dt_address[dep_id])
+                    dat_releases += 1
+            accesses += dep_table_accesses + rla_accesses_total + dat_releases
+            pend[_P_DT] += dep_table_accesses
+            pend[_P_RLA] += rla_accesses_total
+            pend[_P_DAT] += dat_releases
+
+        # Free the task's own resources — inlined single-entry free_list
+        # (release_entry: blank slots, reset valid, LIFO-push).
+        if sla_next[successor_list] == successor_list:
+            sla_in_use[successor_list] = 0
+            base = successor_list * per
+            sla_elements[base : base + per] = sla_blank
+            sla_valid[successor_list] = 0
+            sla.free_entries += 1
+            sla_recycled.append(successor_list)
+            sla_free_accesses = 1
+        else:
+            sla_free_accesses = sla_free_list(successor_list)
+        accesses += sla_free_accesses
+        pend[_P_SLA] += sla_free_accesses
+        if dla_next[dependence_list] == dependence_list:
+            dla_in_use[dependence_list] = 0
+            base = dependence_list * per
+            dla_elements[base : base + per] = dla_blank
+            dla_valid[dependence_list] = 0
+            dla.free_entries += 1
+            dla_recycled.append(dependence_list)
+            dla_free_accesses = 1
+        else:
+            dla_free_accesses = dla_free_list(dependence_list)
+        accesses += dla_free_accesses
+        pend[_P_DLA] += dla_free_accesses
+        # Inlined task_table.free().
+        tt_valid[task_id] = 0
+        task_table._occupancy -= 1
+        accesses += 1
+        pend[_P_TT] += 1
+        tat_release(descriptor_address)
+        accesses += 1
+        pend[_P_TAT] += 1
+
+        cycles = accesses * access_cycles
+        pend[_P_I_FINISH] += 1
+        pend[_P_CYCLES] += cycles
+        pend[_P_FINISHED] += 1
+        finish_result.cycles = cycles
+        finish_result.tasks_woken = tasks_woken
+        return finish_result
+
+    # ---------------------------------------------------------- get_ready_task
+    def get_ready_task():
+        pend[_P_RQ] += 1
+        pend[_P_I_READY] += 1
+        if rq_queue:
+            ready_queue.total_pops += 1
+            task_id = rq_popleft()
+        else:
+            pend[_P_CYCLES] += access_cycles
+            pend[_P_NULL_POPS] += 1
+            return null_ready_result
+        pend[_P_TT] += 1
+        pend[_P_CYCLES] += ready_result.cycles
+        pend[_P_READY_POPS] += 1
+        ready_result.descriptor_address = tt_descriptor[task_id]
+        ready_result.num_successors = tt_succ[task_id]
+        return ready_result
+
+    return flush, create_task, add_dependence, complete_creation, finish_task, get_ready_task

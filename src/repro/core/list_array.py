@@ -43,7 +43,6 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import DMUStructureFullError
-from .backends import StorageBackend, resolve_backend
 
 #: Marker stored in unused element slots ("Invalid elements are set to all ones").
 INVALID_ELEMENT = 0xFFF
@@ -58,7 +57,6 @@ class ListArray:
         num_entries: int,
         elements_per_entry: int,
         append_only: bool = False,
-        backend: Optional[StorageBackend] = None,
     ) -> None:
         if num_entries < 1:
             raise ValueError("num_entries must be >= 1")
@@ -70,21 +68,16 @@ class ListArray:
         #: Append-only arrays reject ``remove``/``flush``; in exchange the
         #: append path needs no chain walk (only the tail can be non-full).
         self.append_only = append_only
-        backend = backend if backend is not None else resolve_backend()
-        self._backend = backend
-        # Cached backend reference for the first-free-slot scan of the
-        # general append path (the one scan primitive this structure needs).
-        self._find_first = backend.find_first
         # Columnar storage, grown lazily as fresh entries are touched.
-        self._elements: List[int] = backend.make_slab()  # flat slot slab
-        self._next: List[int] = backend.make_column()  # Next pointer (self-loop at tail)
-        self._in_use: List[int] = backend.make_column()  # 0/1 per entry
-        self._valid: List[int] = backend.make_column()  # valid-slot count per entry
+        self._elements: List[int] = []  # flat slot slab
+        self._next: List[int] = []  # Next pointer (self-loop at tail)
+        self._in_use: List[int] = []  # 0/1 per entry
+        self._valid: List[int] = []  # valid-slot count per entry
         # Per-list columns, read/written at the head entry's index only.
-        self._list_valid: List[int] = backend.make_column()
-        self._list_entries: List[int] = backend.make_column()
-        self._tail: List[int] = backend.make_column()
-        self._recycled: List[int] = backend.make_column()
+        self._list_valid: List[int] = []
+        self._list_entries: List[int] = []
+        self._tail: List[int] = []
+        self._recycled: List[int] = []
         self._next_fresh_index = 0
         self.peak_entries_used = 0
         #: Number of SRAM entries not currently assigned to any list.  A
@@ -214,7 +207,7 @@ class ListArray:
                 # slots hold the marker, so index() finds the same slot the
                 # old per-slot loop did).
                 base = index * per_entry
-                slot = self._find_first(elements, INVALID_ELEMENT, base, base + per_entry)
+                slot = elements.index(INVALID_ELEMENT, base, base + per_entry)
                 elements[slot] = value
                 valid[index] = entry_valid + 1
                 list_valid[head] += 1
@@ -412,11 +405,27 @@ class ListArray:
     def audit(self) -> Dict[str, int]:
         """Whole-structure occupancy recount from the raw columns.
 
-        Delegates to the backend (vectorized under ``accel``); the
-        differential tests compare this ground truth against the maintained
-        ``free_entries``/``_list_valid`` counters.
+        Bypasses every incrementally maintained counter; the differential
+        tests compare this ground truth against ``free_entries`` and the
+        per-list ``_list_valid`` counters after randomized op streams.
         """
-        return self._backend.audit_list_array(self)
+        entries_in_use = 0
+        for flag in self._in_use:
+            if flag:
+                entries_in_use += 1
+        live_elements = 0
+        for element in self._elements:
+            if element != INVALID_ELEMENT:
+                live_elements += 1
+        valid_total = 0
+        for count in self._valid:
+            valid_total += count
+        return {
+            "entries_in_use": entries_in_use,
+            "free_entries": self.num_entries - entries_in_use,
+            "live_elements": live_elements,
+            "valid_total": valid_total,
+        }
 
     # ------------------------------------------------------------------ internals
     def _walk(self, head: int) -> Iterator[int]:

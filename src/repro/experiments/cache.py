@@ -33,7 +33,7 @@ import time
 import warnings
 from typing import Dict, List, Optional, Union
 
-from ..config import SimulationConfig
+from ..config import LEGACY_DMU_MEMBER, SimulationConfig
 from ..reliability.faults import maybe_fault
 from ..sim.machine import SimulationResult
 
@@ -116,14 +116,11 @@ def canonical_run_key(
     to ``None`` in that case — two requests that generate the identical
     workload always map to the same key.
 
-    ``DMUConfig.backend`` is deliberately **excluded**: backends are
-    execution strategies, not semantics — every backend is required (and
-    tested) to produce byte-identical results, so cache entries and shard
-    merges are shared across backends instead of being resimulated per
-    backend (see ``docs/determinism.md``).
+    The fixed :data:`~repro.config.LEGACY_DMU_MEMBER` of the serialized
+    config is left out, as it always has been, so keys stay unchanged.
     """
     config_dict = config.to_dict()
-    config_dict["dmu"].pop("backend", None)
+    del config_dict["dmu"][LEGACY_DMU_MEMBER[0]]
     payload = {
         "version": CACHE_FORMAT_VERSION,
         "benchmark": benchmark,

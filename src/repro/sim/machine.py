@@ -225,7 +225,7 @@ class Machine:
             energy=energy,
             runtime_stats=self.runtime.stats(),
             dmu_stats=dmu_stats,
-            dat_average_occupied_sets=(dmu.dat.average_occupied_sets() if dmu else 0.0),
+            dat_average_occupied_sets=(dmu.dat_average_occupied_sets() if dmu else 0.0),
             locality_hit_fraction=self.locality.average_hit_fraction(),
             task_instances=list(self.runtime.all_instances),
         )

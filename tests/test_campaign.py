@@ -14,7 +14,7 @@ import pytest
 
 from repro.config import DMUConfig, default_paper_config
 from repro.errors import ExperimentError
-from repro.experiments.cache import ResultCache, canonical_run_key
+from repro.experiments.cache import ResultCache, canonical_run_key, result_checksum
 from repro.experiments.campaign import CampaignEngine, RunRequest
 from repro.experiments.common import SimulationRunner
 from repro.experiments.registry import run_experiment
@@ -116,6 +116,59 @@ class TestResultSerialization:
         restored = SimulationResult.from_dict(live_result.to_dict())
         assert restored.speedup_over(live_result) == 1.0
         assert restored.normalized_edp(live_result) == 1.0
+
+
+class TestSerializedFormat:
+    """Results and cache entries keep the bytes older code wrote.
+
+    ``SimulationConfig.to_dict`` still emits the fixed ``"backend": "pure"``
+    member under ``"dmu"`` (:data:`repro.config.LEGACY_DMU_MEMBER`);
+    ``from_dict`` drops whatever value it finds there, so entries and shard
+    merges written by older code load, whatever value they hold.
+    """
+
+    DMU = DMUConfig(
+        tat_entries=64, dat_entries=64, successor_list_entries=32,
+        dependence_list_entries=32, reader_list_entries=32, ready_queue_entries=64,
+    )
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run_simulation(diamond_program(), make_config(runtime="tdm", dmu=self.DMU))
+
+    def test_fixed_member_is_the_last_dmu_field(self):
+        dmu = make_config(dmu=self.DMU).to_dict()["dmu"]
+        assert list(dmu.items())[-1] == ("backend", "pure")
+
+    def test_result_bytes_unchanged(self, result):
+        assert result_checksum(result.to_dict()) == (
+            "ff904eb3d7ec102c1b8f4df45f94b1e12f15d8d3f72d1a527d80d4eb18f7eb48"
+        )
+
+    def test_run_key_unchanged(self):
+        config = make_config(runtime="tdm", dmu=self.DMU)
+        assert canonical_run_key(config, "cholesky", 0.1) == (
+            "b9eaf20e56ac7c27a26adff7923c1e3dd2ff196cb5add9bfc541c3069994b451"
+        )
+
+    def test_run_key_sees_dmu_sizing(self):
+        resized = dataclasses.replace(self.DMU, tat_entries=16, ready_queue_entries=64)
+        assert canonical_run_key(
+            make_config(dmu=self.DMU), "cholesky", 0.1
+        ) != canonical_run_key(make_config(dmu=resized), "cholesky", 0.1)
+
+    @pytest.mark.parametrize("value", ["accel", "pure"])
+    def test_older_entries_load_and_merge(self, tmp_path, result, value):
+        payload = json.loads(json.dumps(result.to_dict()))
+        payload["config"]["dmu"]["backend"] = value
+        key = "cd" + "0" * 62
+        ResultCache(tmp_path / "shard").put_serialized(key, payload)
+        merged = ResultCache(tmp_path / "merged")
+        assert merged.merge_from(ResultCache(tmp_path / "shard")) == 1
+        loaded = merged.get(key)
+        assert loaded is not None
+        assert loaded.config == result.config
+        assert loaded.to_dict() == result.to_dict()
 
 
 class TestResultCache:

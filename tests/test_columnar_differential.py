@@ -25,12 +25,13 @@ import pytest
 
 from repro.config import DMUConfig
 from repro.core.alias_table import AliasTable
-from repro.core.backends import numpy_available
 from repro.core.dmu import DependenceManagementUnit
 from repro.core.isa import DMUBlocked
 from repro.core.list_array import INVALID_ELEMENT, ListArray
 from repro.core.task_table import TaskTable
 from repro.errors import DMUProtocolError, DMUStructureFullError
+
+from tests.reference_dmu import ReferenceDMU
 
 
 # --------------------------------------------------------------------------
@@ -621,26 +622,45 @@ class TestTaskTableEdgeCases:
 
 
 # --------------------------------------------------------------------------
-# Backend differential: pure vs accel over full-DMU instruction streams
+# Kernel differential: the DMU vs the frozen straight-line reference
 # --------------------------------------------------------------------------
-def _drive_dmu_stream(backend: str, seed: int, steps: int = 3000):
-    """Drive one DMU through a random ISA instruction stream.
+INSTRUCTIONS = (
+    "create_task", "add_dependence", "complete_creation", "finish_task", "get_ready_task",
+)
+
+#: Stream configurations.  ``roomy`` mostly makes progress; the tiny ones
+#: run out of each structure in turn so the blocked paths (and their pinned
+#: pre-check order DAT, DLA, SLA, RLA) are exercised on every run.
+STREAM_CONFIGS = {
+    "roomy": dict(
+        tat_entries=64, dat_entries=64, tat_associativity=4, dat_associativity=4,
+        successor_list_entries=32, dependence_list_entries=32,
+        reader_list_entries=32, elements_per_list_entry=4, ready_queue_entries=64,
+    ),
+    "tiny_dat": dict(
+        tat_entries=32, dat_entries=4, tat_associativity=4, dat_associativity=2,
+        successor_list_entries=64, dependence_list_entries=64,
+        reader_list_entries=64, elements_per_list_entry=2, ready_queue_entries=32,
+    ),
+    "tiny_lists": dict(
+        tat_entries=16, dat_entries=16, tat_associativity=4, dat_associativity=4,
+        successor_list_entries=16, dependence_list_entries=16,
+        reader_list_entries=4, elements_per_list_entry=1, ready_queue_entries=16,
+    ),
+}
+
+
+def _drive_dmu_stream(factory, config: DMUConfig, seed: int, steps: int = 3000):
+    """Drive one DMU built by ``factory(config)`` through a random ISA stream.
 
     Returns ``(log, stats, extras)``: a per-op log of every result field,
     blocked structure and exception (type *and* message — both are pinned),
     the final statistics dict, and every externally observable counter the
-    two backends must agree on — peaks, recycled-stack contents (LIFO order
+    two models must agree on — peaks, recycled-stack contents (LIFO order
     decides which SRAM entry the next allocation lands in), ready-queue
-    totals, the capacity snapshot, and the backend audit recounts.
+    totals, the capacity snapshot, and the audit recounts.
     """
-    config = DMUConfig(
-        tat_entries=64, dat_entries=64,
-        tat_associativity=4, dat_associativity=4,
-        successor_list_entries=32, dependence_list_entries=32,
-        reader_list_entries=32, elements_per_list_entry=4,
-        ready_queue_entries=64, backend=backend,
-    )
-    dmu = DependenceManagementUnit(config)
+    dmu = factory(config)
     rng = random.Random(seed)
     live: Dict[int, str] = {}
     addresses = [0x1000 + 0x40 * i for i in range(200)]
@@ -650,7 +670,7 @@ def _drive_dmu_stream(backend: str, seed: int, steps: int = 3000):
         op = rng.randrange(6)
         # Exceptions are part of the comparison, not failures: the stream
         # deliberately violates the DMU protocol (duplicate creates, unknown
-        # descriptors, premature finishes) and both backends must raise the
+        # descriptors, premature finishes) and both models must raise the
         # same type with the same message at the same op.
         try:
             if op == 0:
@@ -706,7 +726,7 @@ def _drive_dmu_stream(backend: str, seed: int, steps: int = 3000):
     extras = dict(
         tat_lookups=dmu.tat.lookups, dat_lookups=dmu.dat.lookups,
         tat_allocations=dmu.tat.allocations,
-        occupancy_average=dmu.dat.average_occupied_sets(),
+        occupancy_average=dmu.dat_average_occupied_sets(),
         occupancy_samples=dmu.dat._occupied_set_samples,
         task_table_peak=dmu.task_table.peak_occupancy,
         dependence_table_peak=dmu.dependence_table.peak_occupancy,
@@ -729,45 +749,71 @@ def _drive_dmu_stream(backend: str, seed: int, steps: int = 3000):
             dmu.reader_lists.audit(), dmu.tat.audit(), dmu.dat.audit(),
         ],
     )
-    return log, stats, extras, dmu
+    return log, stats, extras
 
 
-@pytest.mark.skipif(not numpy_available(), reason="accel backend requires numpy")
-class TestBackendDifferential:
-    """The accel backend is observationally identical to pure.
+class TestKernelDifferential:
+    """The DMU's instruction kernels are observationally identical to the
+    frozen straight-line reference (``tests/reference_dmu.py``).
 
-    Every random-op stream is driven through a pure-backend DMU and an
-    accel-backend DMU in lockstep: per-op results (IDs, cycle charges,
-    blocked structures, exception types and messages), final statistics,
-    peaks, handle-recycle order and the backend audit recounts must all be
-    equal — the byte-identity contract behind sharing cache entries across
-    backends (see ``repro/core/backends/__init__.py``).
+    Every random-op stream is driven through both models in lockstep:
+    per-op results (IDs, cycle charges, blocked structures, exception types
+    and messages), final statistics, peaks, handle-recycle order and the
+    audit recounts must all be equal.
     """
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_streams_identical(self, seed):
-        pure_log, pure_stats, pure_extras, _ = _drive_dmu_stream("pure", seed)
-        accel_log, accel_stats, accel_extras, dmu = _drive_dmu_stream("accel", seed)
-        assert dmu.backend.name == "accel"
-        for step, (pure_op, accel_op) in enumerate(zip(pure_log, accel_log)):
-            assert pure_op == accel_op, f"seed {seed} diverges at op {step}"
-        assert len(pure_log) == len(accel_log)
-        assert pure_stats == accel_stats
-        assert pure_extras == accel_extras
+    @pytest.mark.parametrize("config_name", sorted(STREAM_CONFIGS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_streams_identical(self, config_name, seed):
+        config = DMUConfig(**STREAM_CONFIGS[config_name])
+        ref_log, ref_stats, ref_extras = _drive_dmu_stream(ReferenceDMU, config, seed)
+        log, stats, extras = _drive_dmu_stream(DependenceManagementUnit, config, seed)
+        for step, (ref_op, op) in enumerate(zip(ref_log, log)):
+            assert ref_op == op, f"{config_name} seed {seed} diverges at op {step}"
+        assert len(ref_log) == len(log)
+        assert ref_stats == stats
+        assert ref_extras == extras
+        # The recounts agree with the maintained counters they audit.
+        sla, dla, rla, tat, dat = extras["audits"]
+        snapshot = extras["snapshot"]
+        for name, audit in (("SLA", sla), ("DLA", dla), ("RLA", rla)):
+            assert audit["free_entries"] == snapshot[name]
+            assert audit["valid_total"] == audit["live_elements"]
+        assert tat["entries_in_use"] == config.tat_entries - snapshot["TAT"]
+        assert dat["entries_in_use"] == config.dat_entries - snapshot["DAT"]
 
-    def test_accel_kernels_are_installed(self):
-        """Guard against the differential becoming vacuous.
+    def test_streams_reach_every_blocked_structure(self):
+        """Guard against the differential going vacuous on the blocked paths."""
+        blocked = set()
+        for config_name, sizes in STREAM_CONFIGS.items():
+            for seed in range(4):
+                log, _, _ = _drive_dmu_stream(ReferenceDMU, DMUConfig(**sizes), seed)
+                blocked.update(op[1] for op in log if op[0].endswith("-blocked"))
+        assert {"TAT", "DAT", "DLA", "SLA", "RLA"} <= blocked
 
-        The accel backend rebinds the five ISA instructions as *instance*
-        attributes; if installation silently stopped happening, the stream
-        test would compare pure against pure and prove nothing.
-        """
-        dmu = DependenceManagementUnit(DMUConfig(backend="accel"))
-        for name in ("create_task", "add_dependence", "complete_creation",
-                     "finish_task", "get_ready_task"):
-            assert name in dmu.__dict__, f"{name} not rebound by accel install()"
-            assert dmu.__dict__[name] is not getattr(type(dmu), name)
-        assert dmu._stats_sync is not None
-        pure = DependenceManagementUnit(DMUConfig(backend="pure"))
-        assert "create_task" not in pure.__dict__
-        assert pure._stats_sync is None
+    def test_instructions_are_class_methods(self):
+        """Instrumentation wraps the class: no instance may shadow an instruction."""
+        dmu = DependenceManagementUnit(DMUConfig())
+        for name in INSTRUCTIONS:
+            assert name in DependenceManagementUnit.__dict__
+            assert name not in dmu.__dict__
+
+    def test_class_level_wrapper_sees_every_instruction(self, monkeypatch, diamond):
+        """A wrapper on the class counts every instruction a simulation issues."""
+        from repro.sim.machine import Machine
+
+        from tests.util import make_config
+
+        calls = []
+        for name in INSTRUCTIONS:
+            original = DependenceManagementUnit.__dict__[name]
+
+            def wrapper(self, *args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(DependenceManagementUnit, name, wrapper)
+        result = Machine(diamond, make_config(runtime="tdm")).run()
+        stats = result.dmu_stats
+        assert len(calls) == stats.total_instructions + stats.total_blocked
+        assert len(calls) > 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pathlib
 import warnings
 
 import pytest
@@ -18,7 +19,6 @@ def _clean_environment(monkeypatch):
         "REPRO_BENCH_BENCHMARKS",
         "REPRO_BENCH_JOBS",
         "REPRO_BENCH_CACHE_DIR",
-        "REPRO_BENCH_BACKEND",
         "REPRO_BENCH_SHARDS",
         "REPRO_JOBS",
         "REPRO_CACHE_DIR",
@@ -63,10 +63,19 @@ class TestBenchEnv:
             assert env.bench_cache_dir() == "/tmp/legacy"
 
     def test_knobs_without_deprecated_spelling_ignore_legacy_names(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_BACKEND", "accel")
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.5")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert env.bench_backend() == "accel"
+            assert env.bench_scale() == 0.5
+
+    @pytest.mark.parametrize(
+        "script", ["run_campaign_rest.py", "run_campaign.py", "run_server.py"]
+    )
+    def test_scripts_use_the_shared_shim(self, script):
+        path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / script
+        source = path.read_text(encoding="utf-8")
+        assert "from repro.experiments.env import" in source
+        assert "def bench_env" not in source  # no private copies left
 
 
 class TestTypedHelpers:
@@ -86,9 +95,6 @@ class TestTypedHelpers:
         assert env.bench_benchmarks(["cholesky"]) == ["cholesky"]
         monkeypatch.setenv("REPRO_BENCH_BENCHMARKS", "cholesky, qr ,,lu")
         assert env.bench_benchmarks(["ferret"]) == ["cholesky", "qr", "lu"]
-
-    def test_backend_default_is_none(self):
-        assert env.bench_backend() is None
 
     def test_shard_parsing(self, monkeypatch):
         assert env.bench_shard() is None

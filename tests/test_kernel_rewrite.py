@@ -15,6 +15,10 @@ to the original lambda-per-event kernel.  Two layers of pinning enforce that:
 """
 
 import hashlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -25,6 +29,7 @@ from repro.sim.events import NotificationEvent, SimEvent, Timeout, WaitEvent
 from repro.sim.machine import run_simulation
 from repro.sim.timeline import Phase, ThreadTimeline
 from repro.workloads.registry import create_workload
+from tests.util import reference_dmu_installed
 
 # Captured on the pre-rewrite kernel (PR 1 state) at scale=0.1 with
 # benchmarks=["blackscholes", "cholesky"]; see the experiments test below.
@@ -54,13 +59,10 @@ PINNED_RUNTIME_CYCLES = {
 PINNED_RUNTIME_TASKS = 364
 
 
-def _run_pinned(runtime: str, backend: str = None):
+def _run_pinned(runtime: str):
     workload_runtime = "tdm" if runtime in ("tdm", "task_superscalar") else "software"
     workload = create_workload("cholesky", scale=0.05, runtime=workload_runtime)
-    config = default_paper_config(runtime)
-    if backend is not None:
-        config = config.with_dmu_backend(backend)
-    return run_simulation(workload.build_program(), config)
+    return run_simulation(workload.build_program(), default_paper_config(runtime))
 
 
 class TestGoldenDigests:
@@ -95,46 +97,66 @@ class TestPinnedRuntimeCycles:
         assert result.num_tasks_executed == PINNED_RUNTIME_TASKS
 
 
-def _numpy_available() -> bool:
-    from repro.core.backends import numpy_available
+class TestReferenceDMUIdentity:
+    """The frozen reference DMU reproduces the pinned kernel byte for byte.
 
-    return numpy_available()
-
-
-@pytest.mark.skipif(not _numpy_available(), reason="accel backend requires numpy")
-class TestAccelBackendIdentity:
-    """The accel storage backend reproduces the pinned kernel byte for byte.
-
-    Backends are excluded from canonical run keys precisely because they
-    cannot change results; these pins are the end-to-end proof — the same
-    golden digests and cycle counts the pure backend is held to, simulated
-    with ``DMUConfig.backend = "accel"``.
+    ``test_columnar_differential.py`` holds the instruction kernels to
+    ``tests/reference_dmu.py`` op by op on random streams; these pins close
+    the loop end to end: the same golden digests and cycle counts, simulated
+    with the straight-line reference in place of the kernels.
     """
 
-    @pytest.fixture(scope="class")
-    def accel_runner(self):
-        from repro.experiments.common import SimulationRunner
-
-        return SimulationRunner(scale=0.1, backend="accel")
+    # These render only software-runtime or analytic points: no DMU is built.
+    NO_DMU_EXPERIMENTS = {"figure_02", "figure_06", "table_02", "table_03"}
 
     @pytest.mark.parametrize("experiment", sorted(GOLDEN_CSV_DIGESTS))
-    def test_csv_rows_byte_identical_under_accel(self, experiment, accel_runner):
+    def test_csv_rows_byte_identical_under_reference_dmu(self, experiment):
+        from repro.experiments.common import SimulationRunner
         from repro.experiments.registry import run_experiment
 
-        result = run_experiment(
-            experiment, scale=0.1, benchmarks=["blackscholes", "cholesky"],
-            runner=accel_runner,
-        )
+        with reference_dmu_installed() as built:
+            result = run_experiment(
+                experiment, scale=0.1, benchmarks=["blackscholes", "cholesky"],
+                runner=SimulationRunner(scale=0.1),
+            )
+        assert bool(built) == (experiment not in self.NO_DMU_EXPERIMENTS)
         digest = hashlib.sha256(result.to_csv().encode("utf-8")).hexdigest()
         assert digest == GOLDEN_CSV_DIGESTS[experiment], (
-            f"{experiment}: accel backend diverged from the golden digest"
+            f"{experiment}: the reference DMU diverged from the golden digest"
         )
 
     @pytest.mark.parametrize("runtime", sorted(PINNED_RUNTIME_CYCLES))
-    def test_total_cycles_unchanged_under_accel(self, runtime):
-        result = _run_pinned(runtime, backend="accel")
+    def test_total_cycles_unchanged_under_reference_dmu(self, runtime):
+        with reference_dmu_installed() as built:
+            result = _run_pinned(runtime)
+        assert len(built) == (1 if runtime in ("tdm", "task_superscalar") else 0)
         assert result.total_cycles == PINNED_RUNTIME_CYCLES[runtime]
         assert result.num_tasks_executed == PINNED_RUNTIME_TASKS
+        assert result.to_dict() == _run_pinned(runtime).to_dict()
+
+
+class TestImportFootprint:
+    """A simulation never imports numpy (it would cost start-up time and
+    about 13 MB of peak RSS per process for nothing)."""
+
+    def test_tdm_simulation_does_not_import_numpy(self):
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import sys\n"
+            "from repro.config import default_paper_config\n"
+            "from repro.sim.machine import run_simulation\n"
+            "from repro.workloads.registry import create_workload\n"
+            "program = create_workload('cholesky', scale=0.05, runtime='tdm').build_program()\n"
+            "result = run_simulation(program, default_paper_config('tdm'))\n"
+            "assert result.num_tasks_executed > 0\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        assert out.strip() == "False"
 
 
 class TestBareIntTimeouts:

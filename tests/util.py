@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import pathlib
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
+
+import pytest
 
 from repro.config import ChipConfig, CoreConfig, DMUConfig, SimulationConfig
 from repro.experiments.common import SimulationRunner
@@ -43,19 +46,42 @@ def experiment_output(
     scale: float,
     benchmarks: Optional[Sequence[str]] = None,
     runner: Optional[SimulationRunner] = None,
-    backend: Optional[str] = None,
 ) -> Tuple[str, str]:
     """Render one experiment and return its (CSV, Markdown) byte content.
 
     The differential determinism harness compares these strings across
-    serial, ``jobs > 1``, sharded split-and-merge and pure-vs-accel backend
-    executions — they must match byte for byte.  ``backend`` builds the
-    default runner with that DMU storage backend (ignored when ``runner``
-    is given).
+    serial, ``jobs > 1`` and sharded split-and-merge executions — they must
+    match byte for byte.
     """
-    runner = runner or SimulationRunner(scale=scale, backend=backend)
+    runner = runner or SimulationRunner(scale=scale)
     result = run_experiment(experiment, scale=scale, benchmarks=benchmarks, runner=runner)
     return result.to_csv(), result.to_markdown()
+
+
+@contextlib.contextmanager
+def reference_dmu_installed() -> Iterator[List[object]]:
+    """Run the DMU-backed runtimes on the frozen reference DMU.
+
+    Inside the block the TDM and Task Superscalar runtimes build
+    :class:`tests.reference_dmu.ReferenceDMU` in place of the kernel DMU.
+    The yielded list collects every instance built, so a caller can check
+    that the reference really ran.  Only in-process (serial) simulations
+    see the swap.
+    """
+    from repro.runtime import task_superscalar, tdm
+    from tests.reference_dmu import ReferenceDMU
+
+    built: List[object] = []
+
+    def build(config: DMUConfig) -> ReferenceDMU:
+        dmu = ReferenceDMU(config)
+        built.append(dmu)
+        return dmu
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (tdm, task_superscalar):
+            patch.setattr(module, "DependenceManagementUnit", build)
+        yield built
 
 
 def run_all_shards(
@@ -67,7 +93,6 @@ def run_all_shards(
     strategy: str = "modulo",
     steal: bool = False,
     shared: bool = False,
-    backend: Optional[str] = None,
 ) -> list[ShardManifest]:
     """Simulate every shard of an experiment into per-shard cache dirs.
 
@@ -79,7 +104,7 @@ def run_all_shards(
     manifests = []
     for index in range(1, count + 1):
         cache_dir = shard_root / ("shared" if shared else f"shard{index}")
-        runner = SimulationRunner(scale=scale, cache_dir=cache_dir, backend=backend)
+        runner = SimulationRunner(scale=scale, cache_dir=cache_dir)
         manifests.append(
             run_shard_worker(
                 experiment,
