@@ -32,8 +32,7 @@ Two environment variables control the cost of the campaign:
     every figure from pure cache hits and asserts as usual.
 
 The knobs are parsed by :mod:`repro.experiments.env` — one definition shared
-with ``scripts/run_campaign*.py`` — which also honors the deprecated
-``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` spellings with a DeprecationWarning.
+with ``scripts/run_campaign.py``.
 """
 
 from __future__ import annotations

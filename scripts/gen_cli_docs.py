@@ -133,9 +133,9 @@ def generate() -> str:
         "Related drivers (same campaign machinery, no package install "
         "needed): `scripts/run_campaign.py` (full campaign), "
         "`scripts/run_shard.py` (`worker`/`merge` subcommands), "
-        "`scripts/run_server.py` (the results daemon, the script twin of "
-        "`tdm-repro serve`), `scripts/bench_smoke.py` and "
-        "`scripts/bench_engine.py` (benchmark records)."
+        "`scripts/bench_smoke.py` and `scripts/bench_engine.py` (benchmark "
+        "records).  Without installing, `PYTHONPATH=src python -m "
+        "repro.experiments.cli` runs every verb above, `serve` included."
     )
     lines.append("")
     return "\n".join(lines)

@@ -20,9 +20,9 @@ from repro.experiments.registry import run_experiment
 
 
 def main() -> None:
-    # The REPRO_BENCH_* environment (shared with the benchmark suite and
-    # run_campaign_rest.py, see repro.experiments.env) provides the flag
-    # defaults, so one exported environment configures every driver alike.
+    # The REPRO_BENCH_* environment (shared with the benchmark suite, see
+    # repro.experiments.env) provides the flag defaults, so one exported
+    # environment configures both alike.
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", type=float, default=0.4)
     parser.add_argument("--output", type=pathlib.Path, default=pathlib.Path("results"))

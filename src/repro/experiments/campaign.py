@@ -11,10 +11,16 @@ embarrassingly parallel, incrementally resumable campaign:
 * results are memoized in-process *and* optionally persisted to an on-disk
   :class:`~repro.experiments.cache.ResultCache`, so re-invoking an experiment
   (or the benchmark suite) skips every already-simulated point;
-* :meth:`CampaignEngine.run_many` fans the uncached runs out over a
-  ``multiprocessing`` pool.  Workers return serialized results and the parent
-  merges them in key-sorted order, so the campaign output is bit-identical
-  to a serial run regardless of completion order or worker count.
+* :meth:`CampaignEngine.run_many` settles the uncached runs in one
+  round-based retry loop.  Only how a round runs its keys differs: with
+  ``jobs == 1`` (or a lone key) a round is the lowest pending key, simulated
+  in this process; otherwise a round fans every pending key out over a
+  watchdog-guarded ``multiprocessing`` pool.  The loop alone counts
+  attempts, classifies failures through the
+  :class:`~repro.reliability.retry.RetryPolicy`, backs off, builds
+  :class:`CampaignRunError` and commits each round's results in key-sorted
+  order, so the campaign output is bit-identical to a serial run
+  regardless of completion order, worker count or recovery.
 
 :class:`~repro.experiments.common.SimulationRunner` is a thin façade over
 this engine; the experiment harnesses declare their sweeps as lists of
@@ -29,7 +35,8 @@ import pathlib
 import time
 import traceback
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..config import DMUConfig, SimulationConfig, default_paper_config
 from ..errors import ExperimentError
@@ -67,8 +74,8 @@ class CampaignRunError(ExperimentError):
         self.error_message = error_message
         self.worker_traceback = worker_traceback
         #: Per-attempt failure records (``{"attempt", "error_type",
-        #: "error_message"}``) when the retry policy exhausted its budget on
-        #: this key; the last entry matches the headline error.
+        #: "error_message"}``), one per attempt the key was given; the last
+        #: entry matches the headline error.
         self.attempts = list(attempts or [])
         described = ", ".join(f"{name}={value!r}" for name, value in self.params.items())
         suffix = f" after {len(self.attempts)} attempts" if len(self.attempts) > 1 else ""
@@ -89,18 +96,19 @@ class CampaignRunError(ExperimentError):
         }
 
 
-def _run_params(payload: Dict[str, object]) -> Dict[str, object]:
-    """The human-facing workload parameters of one worker payload."""
-    config = payload["config"]
-    return {
-        "benchmark": payload["benchmark"],
-        "runtime": config["runtime"],
-        "scheduler": config["scheduler"],
-        "scale": payload["scale"],
-        "granularity": payload["granularity"],
-        "granularity_runtime": payload["workload_runtime"],
-        "seed": payload["seed"],
-    }
+def _failure(error_type: str, error_message: str, trace: str = "") -> Dict[str, object]:
+    """A failure marker: what one failed attempt reports to the retry loop."""
+    return {"error_type": error_type, "error_message": error_message, "traceback": trace}
+
+
+def _caught(error: Exception) -> Dict[str, object]:
+    """The failure marker of the exception being handled."""
+    return _failure(type(error).__name__, str(error), traceback.format_exc())
+
+
+def worker_failure(result_dict: Dict[str, object]) -> Optional[Dict[str, object]]:
+    """The failure marker in a :func:`_simulate_entry` return, or None."""
+    return result_dict.get(_ERROR_MARKER)
 
 
 @dataclass(frozen=True)
@@ -161,14 +169,7 @@ def _simulate_entry(payload: Dict[str, object]) -> Tuple[str, Dict[str, object],
         )
         result = run_simulation(workload.build_program(), config)
     except Exception as error:  # noqa: BLE001 - reported with full context
-        return payload["key"], {
-            _ERROR_MARKER: {
-                "params": _run_params(payload),
-                "error_type": type(error).__name__,
-                "error_message": str(error),
-                "traceback": traceback.format_exc(),
-            }
-        }, time.perf_counter() - started
+        return payload["key"], {_ERROR_MARKER: _caught(error)}, time.perf_counter() - started
     return payload["key"], result.to_dict(), time.perf_counter() - started
 
 
@@ -392,11 +393,9 @@ class CampaignEngine:
 
         Pairs with the module-level :func:`_simulate_entry` worker: external
         executors submit ``_simulate_entry(payload_for(resolved))`` and feed
-        the outcome back through :meth:`commit_serialized`.
+        the outcome back through :meth:`commit_serialized` (or, on failure,
+        :meth:`run_error`).
         """
-        return self._payload(resolved)
-
-    def _payload(self, resolved: ResolvedRun) -> Dict[str, object]:
         return {
             "key": resolved.key,
             "benchmark": resolved.request.benchmark,
@@ -407,23 +406,65 @@ class CampaignEngine:
             "config": resolved.config.to_dict(),
         }
 
+    def run_error(self, resolved: ResolvedRun,
+                  attempts: Sequence[Dict[str, object]]) -> CampaignRunError:
+        """The :class:`CampaignRunError` of a run from its failure markers.
+
+        ``attempts`` holds one marker per failed attempt, oldest first: the
+        last supplies the headline error and traceback, and every one
+        becomes an ``attempts`` record.  The retry loop and the results
+        daemon both build their errors here, so a failed key reports the
+        same error whichever executor ran it.  An in-process attempt's live
+        exception becomes the error's ``__cause__``.
+        """
+        last = attempts[-1]
+        params = {
+            "benchmark": resolved.request.benchmark,
+            "runtime": resolved.config.runtime,
+            "scheduler": resolved.config.scheduler,
+            "scale": self.scale,
+            "granularity": resolved.request.granularity,
+            "granularity_runtime": resolved.workload_runtime,
+            "seed": self.seed,
+        }
+        error = CampaignRunError(
+            resolved.key,
+            params,
+            last["error_type"],
+            last["error_message"],
+            last["traceback"],
+            attempts=[
+                {"attempt": number, "error_type": failure["error_type"],
+                 "error_message": failure["error_message"]}
+                for number, failure in enumerate(attempts, 1)
+            ],
+        )
+        error.__cause__ = last.get("exception")
+        return error
+
     # ------------------------------------------------------------------ running
     def run(self, request: RunRequest) -> SimulationResult:
-        """Run one simulation, consulting the memo and disk cache first."""
+        """Run one simulation, consulting the memo and disk cache first.
+
+        A failure raises the simulation's own exception (the last attempt's),
+        not its :class:`CampaignRunError` wrapper.
+        """
         resolved = self.resolve(request)
         cached = self._lookup(resolved)
         if cached is not None:
             return cached
-        result = self._simulate_retrying(resolved, [])
-        self._store(resolved, result)
-        return result
+        errors = self._execute({resolved.key: resolved})
+        if errors:
+            error = errors[resolved.key]
+            raise error.__cause__ or error
+        return self._memo[resolved.key]
 
     def run_many(
         self,
         requests: Sequence[RunRequest],
         failures: Optional[Dict[str, CampaignRunError]] = None,
     ) -> List[Optional[SimulationResult]]:
-        """Run a batch, fanning uncached points out over a process pool.
+        """Run a batch: in this process when serial, over a process pool otherwise.
 
         The return list is aligned with ``requests``.  Workers return
         serialized results; the parent deserializes and commits them in
@@ -450,27 +491,8 @@ class CampaignEngine:
         for item in resolved:
             if item.key not in pending and self._lookup(item) is None:
                 pending[item.key] = item
-        ordered = sorted(pending.values(), key=lambda item: item.key)
-        errors: Dict[str, CampaignRunError] = {}
-        if len(ordered) > 1 and self.jobs > 1:
-            self._run_pool(ordered, errors)
-        else:
-            for item in ordered:
-                history: List[Dict[str, object]] = []
-                try:
-                    result = self._simulate_retrying(item, history)
-                except Exception as error:  # noqa: BLE001 - wrapped with context
-                    errors[item.key] = CampaignRunError(
-                        item.key,
-                        _run_params(self._payload(item)),
-                        type(error).__name__,
-                        str(error),
-                        traceback.format_exc(),
-                        attempts=history,
-                    )
-                    continue
-                self._store(item, result)
-        if ordered:
+        errors = self._execute(pending)
+        if pending:
             self.prune_disk_cache()
         if errors:
             if failures is None:
@@ -478,181 +500,52 @@ class CampaignEngine:
             failures.update(errors)
         return [self._memo.get(item.key) for item in resolved]
 
-    def _simulate_retrying(self, item: ResolvedRun,
-                           history: List[Dict[str, object]]) -> SimulationResult:
-        """Serial-path simulation with transient-error retries.
+    def _execute(self, batch: Dict[str, ResolvedRun]) -> Dict[str, CampaignRunError]:
+        """The campaign's one retry loop: settle every key of ``batch``.
 
-        Appends one record per failed attempt to ``history`` and re-raises
-        the last error once the attempt budget is spent (or immediately for
-        permanent errors) — the caller wraps it with run context.
+        Round-based.  Each round hands the lowest pending keys to an
+        executor — in-process for ``jobs == 1`` or a lone key, otherwise a
+        watchdog-guarded worker pool — which reports the keys that finished
+        and the failure markers of the keys that failed.  The loop alone
+        counts attempts and keeps their history, asks the retry policy
+        whether a failure is worth another attempt, backs off, builds the
+        :class:`CampaignRunError` of every key that fails for good, and
+        commits each round's finished keys in key-sorted order.  Keys a
+        round neither finished nor failed (batchmates of a watchdog kill)
+        requeue without penalty.  Returns the errors by key.
         """
         policy = self.retry_policy
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                return self._simulate(item, attempt=attempt)
-            except Exception as error:  # noqa: BLE001 - classified below
-                history.append({
-                    "attempt": attempt,
-                    "error_type": type(error).__name__,
-                    "error_message": str(error),
-                })
-                if not policy.transient(type(error).__name__) or policy.exhausted(attempt):
-                    raise
-                self.retries += 1
-                time.sleep(policy.delay(attempt, item.key))
-
-    def _run_pool(self, ordered: Sequence[ResolvedRun],
-                  errors: Dict[str, CampaignRunError]) -> None:
-        """Fan a batch over a worker pool with watchdog + retry recovery.
-
-        Round-based: every pending key is submitted to a pool, completions
-        are collected as they land, and a round ends when either everything
-        finished or the watchdog finds overdue keys — the pool (and any hung
-        or orphaned task in it) is then terminated and surviving keys are
-        resubmitted.  Keys struck by the watchdog or failed transiently
-        accrue attempts; the rest requeue without penalty.  All commits
-        happen in key-sorted order after the loop, so completion order (and
-        recovery) cannot affect the merged state.
-        """
-        policy = self.retry_policy
-        spec = active_spec()
-        cost_model = CampaignCostModel(
-            load_cost_profile(self.disk_cache.directory) if self.disk_cache else {},
-            scale=self.scale,
-        )
-        watchdog = Watchdog(self.watchdog_config, cost_model)
-        pending: Dict[str, ResolvedRun] = {item.key: item for item in ordered}
-        attempts: Dict[str, int] = {}
+        pending = dict(batch)
         history: Dict[str, List[Dict[str, object]]] = {}
-        outcomes: Dict[str, Tuple[Dict[str, object], float]] = {}
-        if self.verbose:  # pragma: no cover - console feedback only
-            print(f"[campaign] {len(pending)} runs on {self.jobs} workers")
-
-        def strike(key: str, error_type: str, message: str) -> None:
-            attempts[key] = attempts.get(key, 0) + 1
-            history.setdefault(key, []).append({
-                "attempt": attempts[key],
-                "error_type": error_type,
-                "error_message": message,
-            })
-            if policy.exhausted(attempts[key]):
-                item = pending.pop(key)
-                errors[key] = CampaignRunError(
-                    key,
-                    _run_params(self._payload(item)),
-                    error_type,
-                    message,
-                    attempts=history[key],
-                )
-            else:
-                self.retries += 1
-
+        errors: Dict[str, CampaignRunError] = {}
+        if self.jobs > 1 and len(pending) > 1:
+            executor = _PoolRounds(self, len(pending))
+        else:
+            executor = _InProcessRounds(self)
         try:
             while pending:
-                batch = [pending[key] for key in sorted(pending)]
+                keys = sorted(pending)[: executor.width]
                 backoff = max(
-                    (policy.delay(attempts[item.key], item.key)
-                     for item in batch if attempts.get(item.key)),
+                    (policy.delay(len(history[key]), key) for key in keys if key in history),
                     default=0.0,
                 )
                 if backoff:
                     time.sleep(backoff)
-                watchdog.reset()
-                deadlines = {item.key: watchdog.deadline_for(item) for item in batch}
-                with multiprocessing.Pool(processes=min(self.jobs, len(batch))) as pool:
-                    handles = {}
-                    for item in batch:
-                        payload = self._payload(item)
-                        payload["attempt"] = attempts.get(item.key, 0) + 1
-                        payload["heartbeat_dir"] = str(watchdog.directory)
-                        if spec:
-                            payload["faults"] = spec
-                        handles[item.key] = pool.apply_async(_simulate_entry, (payload,))
-                    self._collect(
-                        handles, deadlines, watchdog, pending, outcomes, errors, strike
-                    )
-                    # Exiting the with-block terminates the pool, killing any
-                    # hung worker and discarding tasks orphaned by a crash.
-        finally:
-            watchdog.cleanup()
-        for key in sorted(outcomes):
-            result_dict, seconds = outcomes[key]
-            self.commit_serialized(key, result_dict, seconds)
-
-    def _collect(self, handles, deadlines, watchdog, pending, outcomes,
-                 errors, strike) -> None:
-        """One round's completion loop: drain results until done or overdue.
-
-        Successful keys leave ``pending`` and land in ``outcomes``;
-        transient worker errors strike (requeue or exhaust); permanent ones
-        fail directly — a deterministic simulation error recurs on every
-        attempt, so its first failure is definitive.  Returning with
-        ``handles`` non-empty means the watchdog condemned this round — the
-        caller terminates the pool and requeues un-struck survivors.
-        """
-        poll = watchdog.config.poll_interval_s
-        stall_budget = watchdog.config.min_seconds + max(deadlines.values(), default=0.0)
-        last_progress = time.monotonic()
-        while handles:
-            progressed = False
-            for key in sorted(handles):
-                handle = handles[key]
-                if not handle.ready():
-                    continue
-                progressed = True
-                del handles[key]
-                try:
-                    _, result_dict, seconds = handle.get()
-                except Exception as error:  # noqa: BLE001 - pool plumbing failure
-                    strike(key, type(error).__name__, str(error))
-                    continue
-                marker = result_dict.get(_ERROR_MARKER)
-                if marker is not None:
-                    if self.retry_policy.transient(marker["error_type"]):
-                        strike(key, marker["error_type"], marker["error_message"])
+                finished, failed = executor.run([pending[key] for key in keys], history)
+                for key in sorted(failed):
+                    attempts = history.setdefault(key, [])
+                    attempts.append(failed[key])
+                    if (policy.transient(failed[key]["error_type"])
+                            and not policy.exhausted(len(attempts))):
+                        self.retries += 1
                     else:
-                        # Permanent: one deterministic failure is definitive.
-                        pending.pop(key, None)
-                        errors[key] = CampaignRunError(
-                            key,
-                            marker["params"],
-                            marker["error_type"],
-                            marker["error_message"],
-                            marker["traceback"],
-                        )
-                    continue
-                pending.pop(key, None)
-                outcomes[key] = (result_dict, seconds)
-            if progressed:
-                last_progress = time.monotonic()
-            if not handles:
-                return
-            overdue = watchdog.overdue(
-                {key: deadlines[key] for key in handles}
-            )
-            if overdue:
-                self.watchdog_kills += len(overdue)
-                for key in sorted(overdue):
-                    del handles[key]
-                    strike(
-                        key,
-                        "WorkerTimeout",
-                        f"no result after {overdue[key]:.1f}s "
-                        f"(deadline {deadlines[key]:.1f}s); pool terminated",
-                    )
-                return  # terminate the pool; un-struck keys requeue freely
-            if time.monotonic() - last_progress > stall_budget:
-                # No completion and no overdue heartbeat for a whole budget:
-                # workers died before heartbeating (or the pool wedged).
-                self.watchdog_kills += len(handles)
-                for key in sorted(handles):
-                    del handles[key]
-                    strike(key, "WorkerStall",
-                           f"no worker progress for {stall_budget:.1f}s; pool terminated")
-                return
-            time.sleep(poll)
+                        errors[key] = self.run_error(pending.pop(key), attempts)
+                for key in sorted(finished):
+                    del pending[key]
+                    finished[key]()
+        finally:
+            executor.close()
+        return errors
 
     def prune_disk_cache(self) -> int:
         """Enforce ``cache_max_bytes`` on the disk cache; returns evictions."""
@@ -712,3 +605,129 @@ class CampaignEngine:
             "quarantined": cache.quarantined if cache is not None else 0,
             "orphans_swept": cache.orphans_swept if cache is not None else 0,
         }
+
+
+class _InProcessRounds:
+    """Round executor for serial batches: the lowest pending key, in-process.
+
+    Builds no pool and no watchdog and reads no cost profile.  Simulations
+    reuse the engine's built programs, and since a round holds one key, the
+    loop commits each key as soon as it settles.
+    """
+
+    width = 1
+
+    def __init__(self, engine: CampaignEngine) -> None:
+        self.engine = engine
+
+    def run(self, batch: Sequence[ResolvedRun],
+            history: Dict[str, List[Dict[str, object]]]):
+        (item,) = batch
+        attempt = len(history.get(item.key, ())) + 1
+        try:
+            result = self.engine._simulate(item, attempt=attempt)
+        except Exception as error:  # noqa: BLE001 - classified by the loop
+            return {}, {item.key: {**_caught(error), "exception": error}}
+        return {item.key: partial(self.engine._store, item, result)}, {}
+
+    def close(self) -> None:
+        pass
+
+
+class _PoolRounds:
+    """Round executor for parallel batches: every pending key, one pool.
+
+    Each round submits its keys to a fresh ``multiprocessing.Pool`` and
+    collects completions until all are in or the watchdog condemns the
+    round.  Leaving the round terminates the pool, killing any hung worker
+    and discarding tasks orphaned by a crash.  Overdue keys come back as
+    ``WorkerTimeout``/``WorkerStall`` failures; their un-struck batchmates
+    come back neither finished nor failed, so the loop requeues them.
+    """
+
+    width = None
+
+    def __init__(self, engine: CampaignEngine, count: int) -> None:
+        self.engine = engine
+        self.spec = active_spec()
+        cost_model = CampaignCostModel(
+            load_cost_profile(engine.disk_cache.directory) if engine.disk_cache else {},
+            scale=engine.scale,
+        )
+        self.watchdog = Watchdog(engine.watchdog_config, cost_model)
+        if engine.verbose:  # pragma: no cover - console feedback only
+            print(f"[campaign] {count} runs on {engine.jobs} workers")
+
+    def run(self, batch: Sequence[ResolvedRun],
+            history: Dict[str, List[Dict[str, object]]]):
+        engine, watchdog = self.engine, self.watchdog
+        watchdog.reset()
+        deadlines = {item.key: watchdog.deadline_for(item) for item in batch}
+        with multiprocessing.Pool(processes=min(engine.jobs, len(batch))) as pool:
+            handles = {}
+            for item in batch:
+                payload = engine.payload_for(item)
+                payload["attempt"] = len(history.get(item.key, ())) + 1
+                payload["heartbeat_dir"] = str(watchdog.directory)
+                if self.spec:
+                    payload["faults"] = self.spec
+                handles[item.key] = pool.apply_async(_simulate_entry, (payload,))
+            return self._collect(handles, deadlines)
+
+    def close(self) -> None:
+        self.watchdog.cleanup()
+
+    def _collect(self, handles, deadlines):
+        """One round's completion loop: drain results until done or overdue."""
+        engine, watchdog = self.engine, self.watchdog
+        finished: Dict[str, Callable[[], object]] = {}
+        failed: Dict[str, Dict[str, object]] = {}
+        poll = watchdog.config.poll_interval_s
+        stall_budget = watchdog.config.min_seconds + max(deadlines.values(), default=0.0)
+        last_progress = time.monotonic()
+        while handles:
+            progressed = False
+            for key in sorted(handles):
+                handle = handles[key]
+                if not handle.ready():
+                    continue
+                progressed = True
+                del handles[key]
+                try:
+                    _, result_dict, seconds = handle.get()
+                except Exception as error:  # noqa: BLE001 - pool plumbing failure
+                    failed[key] = _caught(error)
+                    continue
+                failure = worker_failure(result_dict)
+                if failure is not None:
+                    failed[key] = failure
+                else:
+                    finished[key] = partial(
+                        engine.commit_serialized, key, result_dict, seconds
+                    )
+            if progressed:
+                last_progress = time.monotonic()
+            if not handles:
+                break
+            overdue = watchdog.overdue({key: deadlines[key] for key in handles})
+            if overdue:
+                engine.watchdog_kills += len(overdue)
+                for key in overdue:
+                    failed[key] = _failure(
+                        "WorkerTimeout",
+                        f"no result after {overdue[key]:.1f}s "
+                        f"(deadline {deadlines[key]:.1f}s); pool terminated",
+                    )
+                break  # terminate the pool; un-struck keys requeue freely
+            if time.monotonic() - last_progress > stall_budget:
+                # No completion and no overdue heartbeat for a whole budget:
+                # workers died before heartbeating (or the pool wedged).
+                engine.watchdog_kills += len(handles)
+                for key in handles:
+                    failed[key] = _failure(
+                        "WorkerStall",
+                        f"no worker progress for {stall_budget:.1f}s; pool terminated",
+                    )
+                break
+            time.sleep(poll)
+        return finished, failed

@@ -1,11 +1,7 @@
 """Shared ``REPRO_BENCH_*`` environment handling.
 
 One definition of the benchmark-campaign environment knobs, used by the
-pytest-benchmark conftest and every ``scripts/run_campaign*.py`` driver.
-Before this module the :func:`bench_env` deprecation shim lived only in
-``scripts/run_campaign_rest.py``, so the drivers drifted: the
-``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` deprecation warning fired in exactly
-one script.
+pytest-benchmark conftest and ``scripts/run_campaign.py``.
 
 Knobs (all optional; empty values count as unset):
 
@@ -19,51 +15,19 @@ Knobs (all optional; empty values count as unset):
     Directory for the persistent result cache.
 ``REPRO_BENCH_SHARDS``
     ``i/N`` turns a benchmark session into a distributed cache warmer.
-
-The pre-PR6 spellings ``REPRO_JOBS`` and ``REPRO_CACHE_DIR`` are still
-honored with a :class:`DeprecationWarning`; the ``REPRO_BENCH_*`` name wins
-when both are set.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from typing import List, Optional, Sequence
-
-#: Pre-PR6 spellings, applied automatically by :func:`bench_env` when the
-#: caller does not name one explicitly.
-DEPRECATED_SPELLINGS = {
-    "JOBS": "REPRO_JOBS",
-    "CACHE_DIR": "REPRO_CACHE_DIR",
-}
 
 DEFAULT_SCALE = 0.25
 
 
-def bench_env(name: str, deprecated: Optional[str] = None) -> Optional[str]:
-    """``REPRO_BENCH_<name>`` from the environment, or None when unset.
-
-    ``deprecated`` names the pre-PR6 spelling (e.g. ``REPRO_JOBS``); when
-    omitted it defaults from :data:`DEPRECATED_SPELLINGS`.  A deprecated
-    spelling is accepted with a DeprecationWarning, but the new name wins
-    when both are set.  Empty values count as unset either way.
-    """
-    value = os.environ.get(f"REPRO_BENCH_{name}")
-    if value:
-        return value
-    if deprecated is None:
-        deprecated = DEPRECATED_SPELLINGS.get(name)
-    if deprecated:
-        value = os.environ.get(deprecated)
-        if value:
-            warnings.warn(
-                f"{deprecated} is deprecated; use REPRO_BENCH_{name} instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return value
-    return None
+def bench_env(name: str) -> Optional[str]:
+    """``REPRO_BENCH_<name>`` from the environment, or None when unset or empty."""
+    return os.environ.get(f"REPRO_BENCH_{name}") or None
 
 
 def bench_scale(default: float = DEFAULT_SCALE) -> float:

@@ -1,7 +1,7 @@
 """The campaign results daemon: a stdlib-only asyncio HTTP/JSON service.
 
-``tdm-repro serve`` (or ``scripts/run_server.py``) starts one
-:class:`ResultsService`.  The service owns, for its whole lifetime:
+``tdm-repro serve`` starts one :class:`ResultsService`.  The service
+owns, for its whole lifetime:
 
 * one :class:`~repro.experiments.cache.ResultCache` — every request's
   engine reads and writes the same on-disk store;
@@ -41,11 +41,11 @@ from ..errors import ExperimentError
 from ..reliability.faults import maybe_fault
 from ..experiments.cache import ResultCache
 from ..experiments.campaign import (
-    _ERROR_MARKER,
     _simulate_entry,
     CampaignEngine,
     CampaignRunError,
     ResolvedRun,
+    worker_failure,
 )
 from ..experiments.common import SimulationRunner
 from ..experiments.registry import (
@@ -210,15 +210,9 @@ class ResultsService:
                 )
             finally:
                 self.inflight_sims -= 1
-            marker = result_dict.get(_ERROR_MARKER)
-            if marker is not None:
-                error = CampaignRunError(
-                    key,
-                    marker["params"],
-                    marker["error_type"],
-                    marker["error_message"],
-                    marker["traceback"],
-                )
+            failure = worker_failure(result_dict)
+            if failure is not None:
+                error = engine.run_error(resolved, [failure])
                 # Negative-TTL cache: until the TTL lapses, repeat requests
                 # for this poison key are answered without resimulating.
                 self._failures[key] = (
@@ -645,7 +639,7 @@ def serve(
     queue_budget: int = 32,
     failure_ttl_s: float = ResultsService.DEFAULT_FAILURE_TTL_S,
 ) -> int:
-    """Blocking entry point shared by ``tdm-repro serve`` and run_server.py."""
+    """Blocking entry point of ``tdm-repro serve``."""
     service = ResultsService(
         cache_dir=cache_dir,
         workers=workers,

@@ -529,6 +529,47 @@ class TestRunManyFailureWrapping:
         assert engine.run_many([RunRequest("qr", "software")], failures={}) == [None]
 
 
+class TestInProcessExecutor:
+    """Serial batches run in this process, one key per round."""
+
+    REQUESTS = [RunRequest("blackscholes", "software", scheduler)
+                for scheduler in ("fifo", "lifo", "locality")]
+
+    def test_interrupted_batch_keeps_the_keys_it_settled(self, monkeypatch, tmp_path):
+        import repro.experiments.campaign as campaign_module
+
+        real = campaign_module.run_simulation
+        calls = []
+
+        def interrupt_second(program, config):
+            calls.append(config)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return real(program, config)
+
+        monkeypatch.setattr(campaign_module, "run_simulation", interrupt_second)
+        engine = CampaignEngine(scale=SCALE, cache_dir=tmp_path)
+        with pytest.raises(KeyboardInterrupt):
+            engine.run_many(self.REQUESTS[:2])
+        first, second = sorted(engine.resolve(request).key for request in self.REQUESTS[:2])
+        assert first in engine.disk_cache
+        assert second not in engine.disk_cache
+
+    def test_serial_batch_builds_no_pool_or_watchdog(self, monkeypatch):
+        import repro.experiments.campaign as campaign_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a serial batch must not build this")
+
+        monkeypatch.setattr(campaign_module.multiprocessing, "Pool", forbidden)
+        monkeypatch.setattr(campaign_module, "Watchdog", forbidden)
+        monkeypatch.setattr(campaign_module, "load_cost_profile", forbidden)
+        engine = CampaignEngine(scale=SCALE)
+        results = engine.run_many(self.REQUESTS)
+        assert all(result is not None for result in results)
+        assert engine.cache_info()["simulations_run"] == 3
+
+
 class TestProgramCache:
     """The engine reuses immutable built programs across simulations."""
 

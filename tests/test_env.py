@@ -36,31 +36,22 @@ class TestBenchEnv:
             warnings.simplefilter("error")
             assert env.bench_env("JOBS") == "4"
 
-    def test_deprecated_spelling_warns_and_is_honored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        with pytest.warns(DeprecationWarning, match="REPRO_JOBS is deprecated"):
-            assert env.bench_env("JOBS") == "3"
-
-    def test_new_name_shadows_deprecated(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_JOBS", "4")
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert env.bench_env("JOBS") == "4"
-
     def test_empty_values_count_as_unset(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_CACHE_DIR", "")
-        monkeypatch.setenv("REPRO_CACHE_DIR", "legacy-dir")
-        with pytest.warns(DeprecationWarning):
-            assert env.bench_env("CACHE_DIR") == "legacy-dir"
+        assert env.bench_env("CACHE_DIR") is None
+        assert env.bench_cache_dir() is None
 
-    def test_deprecated_mapping_applies_automatically(self, monkeypatch):
-        # The pre-PR6 spellings are honored without callers having to name
-        # them — the drift this module fixed: only run_campaign_rest.py used
-        # to pass the deprecated spelling explicitly.
-        monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/legacy")
-        with pytest.warns(DeprecationWarning, match="REPRO_CACHE_DIR"):
-            assert env.bench_cache_dir() == "/tmp/legacy"
+    @pytest.mark.parametrize("legacy, name", [
+        ("REPRO_JOBS", "JOBS"),
+        ("REPRO_CACHE_DIR", "CACHE_DIR"),
+    ])
+    def test_legacy_names_are_ignored_silently(self, monkeypatch, legacy, name):
+        monkeypatch.setenv(legacy, "3")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert env.bench_env(name) is None
+            assert env.bench_jobs() == 1
+            assert env.bench_cache_dir() is None
 
     def test_knobs_without_deprecated_spelling_ignore_legacy_names(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_SCALE", "0.5")
@@ -68,9 +59,7 @@ class TestBenchEnv:
             warnings.simplefilter("error")
             assert env.bench_scale() == 0.5
 
-    @pytest.mark.parametrize(
-        "script", ["run_campaign_rest.py", "run_campaign.py", "run_server.py"]
-    )
+    @pytest.mark.parametrize("script", ["run_campaign.py"])
     def test_scripts_use_the_shared_shim(self, script):
         path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / script
         source = path.read_text(encoding="utf-8")
@@ -83,12 +72,6 @@ class TestTypedHelpers:
         assert env.bench_scale() == env.DEFAULT_SCALE
         monkeypatch.setenv("REPRO_BENCH_SCALE", "0.5")
         assert env.bench_scale() == 0.5
-
-    def test_jobs_deprecated_spelling(self, monkeypatch):
-        assert env.bench_jobs() == 1
-        monkeypatch.setenv("REPRO_JOBS", "6")
-        with pytest.warns(DeprecationWarning):
-            assert env.bench_jobs() == 6
 
     def test_benchmarks_parsing(self, monkeypatch):
         assert env.bench_benchmarks() is None

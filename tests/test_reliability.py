@@ -378,6 +378,33 @@ class TestCampaignRecovery:
             engine.run(RunRequest(benchmark="no-such-benchmark", runtime="software"))
         assert engine.retries == 0
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("case", ["permanent", "exhausted-transient"])
+    def test_failed_key_reports_the_same_error_at_any_jobs(self, case, jobs):
+        # Two requests per batch, so jobs=2 takes the pool; the expected
+        # manifest entries come from a serial run of the same batch.
+        if case == "permanent":
+            spec, attempts = None, 1
+            requests = [RunRequest("no-such-benchmark", "software"), REQUEST]
+        else:
+            spec, attempts = "error@sim:key%1x99", FAST_RETRY.max_attempts
+            requests = [REQUEST, RunRequest("qr", "software")]
+
+        def manifest_entries(jobs):
+            faults.install_plan(parse_faults(spec) if spec else None)
+            failures = {}
+            CampaignEngine(scale=SCALE, jobs=jobs, retry_policy=FAST_RETRY).run_many(
+                requests, failures=failures
+            )
+            return {key: error.to_dict() for key, error in failures.items()}
+
+        observed, serial = manifest_entries(jobs), manifest_entries(1)
+        assert observed and observed.keys() == serial.keys()
+        for key, entry in observed.items():
+            assert entry["traceback"].strip()
+            assert len(entry["attempts"]) == attempts
+            assert {**entry, "traceback": ""} == {**serial[key], "traceback": ""}
+
     def test_torn_commit_is_quarantined_and_resimulated(self, tmp_path):
         faults.install_plan(parse_faults("corrupt@commit:1"))
         first = CampaignEngine(scale=SCALE, cache_dir=tmp_path)
