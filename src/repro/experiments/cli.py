@@ -231,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=32,
         help="serve mode: maximum simulations queued beyond the worker pool "
-        "before new renders are refused with 503 (default: 32)",
+        "before new renders are refused with 503; a render is refused only "
+        "while simulations already wait behind the pool (default: 32)",
     )
     parser.add_argument(
         "--failure-ttl",

@@ -15,6 +15,9 @@ evaluated in the paper:
   dependence management in software (Carbon [10]),
 * :class:`~repro.runtime.task_superscalar.TaskSuperscalarRuntime` — both
   dependence management and scheduling in hardware (Task Superscalar [11]).
+
+TDM and Task Superscalar share their DMU issue path,
+:class:`~repro.runtime.dmu_runtime.DMURuntime`.
 """
 
 from .task import (

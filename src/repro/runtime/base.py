@@ -19,7 +19,7 @@ The common machinery provided here:
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional
 
 from ..config import SimulationConfig
 from ..schedulers.base import ReadyEntry, Scheduler
@@ -48,14 +48,15 @@ class RuntimeSystem(abc.ABC):
     #: Whether the configured software scheduler is honoured (hardware
     #: schedulers such as Carbon / Task Superscalar use their fixed policy).
     honors_scheduler: bool = True
-    #: When True the worker wake loop in :mod:`repro.sim.thread` inlines
-    #: the software-pool pop — the exact yield sequence of the runtime's
-    #: ``try_get_task`` (lock acquire, lock cycles, pop, pop cycles,
-    #: release) — skipping one generator allocation plus one delegation
-    #: frame per pop attempt, the most frequent scheduling path.  Only
-    #: valid for runtimes whose ``try_get_task`` is precisely that
-    #: sequence (software and TDM); keep the two in sync.
-    inline_software_pop: bool = False
+    #: How a worker obtains a ready task (SCHED phase).  None (the default)
+    #: means the locked software-pool pop: the worker loop in
+    #: :mod:`repro.sim.thread` runs it inline (acquire the runtime lock,
+    #: ``_lock_cycles``, pop, ``_pop_cycles`` on success, release), with no
+    #: generator per attempt.  A runtime that schedules elsewhere (a
+    #: hardware queue) defines a generator method here instead, returning a
+    #: :class:`~repro.schedulers.base.ReadyEntry` or ``None``.  Either way
+    #: the pop runs only after :meth:`work_available_hint` returned True.
+    try_get_task: Optional[Callable[["SimThread"], RuntimeGenerator]] = None
 
     def __init__(
         self,
@@ -78,6 +79,7 @@ class RuntimeSystem(abc.ABC):
         #: immutable and yielded thousands of times per simulation, so the
         #: runtimes share one instance instead of allocating per acquisition.
         self.acquire_runtime_lock = Acquire(self.runtime_lock)
+        self._lock_cycles = self.costs.lock_acquire_cycles()
         self._factory = TaskInstanceFactory()
         self.instances_by_descriptor: Dict[int, TaskInstance] = {}
         self.all_instances: List[TaskInstance] = []
@@ -138,13 +140,6 @@ class RuntimeSystem(abc.ABC):
         """
 
     @abc.abstractmethod
-    def try_get_task(self, thread: "SimThread") -> RuntimeGenerator:
-        """Try to obtain a ready task for ``thread`` (SCHED phase).
-
-        Returns a :class:`~repro.schedulers.base.ReadyEntry` or ``None``.
-        """
-
-    @abc.abstractmethod
     def finish_task(self, thread: "SimThread", instance: TaskInstance) -> RuntimeGenerator:
         """Notify that ``instance`` finished (DEPS phase on the worker side)."""
 
@@ -152,9 +147,9 @@ class RuntimeSystem(abc.ABC):
     def work_available_hint(self) -> bool:
         """Cheap check used by idle workers before attempting a pop.
 
-        Reads the pool's public mirrored ``size`` counter directly instead
-        of delegating to :meth:`ReadyPool.peek_available`: idle workers run
-        this once per wake-up and the extra frame was measurable.
+        A worker attempts a pop (inline, or through ``try_get_task``) only
+        right after this returned True, with no yield in between, so the
+        pop itself does not re-check for work.  No cost is charged for it.
         """
         return self.pool.size > 0
 

@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Optional
 
 from ..schedulers.base import ReadyEntry
 from ..schedulers.fifo import FifoScheduler
-from ..sim.events import Acquire
 from .base import RuntimeGenerator, RuntimeSystem
 from .ready_pool import ReadyPool
 from .task import TaskDefinition, TaskInstance
@@ -44,7 +43,6 @@ class CarbonRuntime(RuntimeSystem):
         self.tracker = DependenceTracker()
         # Fixed per-operation costs hoisted out of the per-yield hot path.
         self._alloc_cycles = self.costs.sw_task_alloc_cycles()
-        self._lock_cycles = self.costs.lock_acquire_cycles()
         self._hw_queue_cycles = self.costs.hw_queue_cycles()
 
     # ------------------------------------------------------------------ creation
@@ -70,8 +68,6 @@ class CarbonRuntime(RuntimeSystem):
 
     # ------------------------------------------------------------------ scheduling
     def try_get_task(self, thread: "SimThread") -> RuntimeGenerator:
-        if not self.pool.peek_available():
-            return None
         yield self._hw_queue_cycles
         entry: Optional[ReadyEntry] = self.pool.pop(thread.core_id)
         return entry

@@ -126,6 +126,3 @@ class ReadyPool:
     def is_empty(self) -> bool:
         return self.size == 0
 
-    def peek_available(self) -> bool:
-        """Cheap emptiness check (no cost is charged for it in the simulation)."""
-        return self.size > 0

@@ -11,10 +11,8 @@ densely-connected tasks (Figure 2 of the paper).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
-from ..schedulers.base import ReadyEntry
-from ..sim.events import Acquire
 from .base import RuntimeGenerator, RuntimeSystem
 from .task import TaskDefinition, TaskInstance
 from .tracker import DependenceTracker
@@ -29,7 +27,6 @@ class SoftwareRuntime(RuntimeSystem):
     name = "software"
     uses_dmu = False
     honors_scheduler = True
-    inline_software_pop = True
 
     def __init__(self, config, scheduler, engine, noc) -> None:
         super().__init__(config, scheduler, engine, noc)
@@ -37,7 +34,6 @@ class SoftwareRuntime(RuntimeSystem):
         # Fixed per-operation costs hoisted out of the per-yield hot path.
         costs = self.costs
         self._alloc_cycles = costs.sw_task_alloc_cycles()
-        self._lock_cycles = costs.lock_acquire_cycles()
         self._pop_cycles = costs.sw_pop_cycles()
         self._push_cycles = costs.sw_push_cycles()
 
@@ -67,20 +63,6 @@ class SoftwareRuntime(RuntimeSystem):
         if pushed:
             self.notify_workers()
         return instance
-
-    # ------------------------------------------------------------------ scheduling
-    def try_get_task(self, thread: "SimThread") -> RuntimeGenerator:
-        # The worker wake loop inlines this exact sequence when
-        # inline_software_pop is set (see repro/sim/thread.py) — keep in sync.
-        if not self.pool.peek_available():
-            return None
-        yield self.acquire_runtime_lock
-        yield self._lock_cycles
-        entry: Optional[ReadyEntry] = self.pool.pop(thread.core_id)
-        if entry is not None:
-            yield self._pop_cycles
-        self.runtime_lock.release(thread.process)
-        return entry
 
     # ------------------------------------------------------------------ finalization
     def finish_task(self, thread: "SimThread", instance: TaskInstance) -> RuntimeGenerator:

@@ -1,175 +1,83 @@
 """The TDM runtime: dependence management in hardware, scheduling in software.
 
 This is the paper's proposal.  The runtime allocates task descriptors and
-issues the four TDM ISA instructions; the DMU tracks tasks and dependences
-and exposes ready tasks through its Ready Queue; the runtime drains ready
-tasks into its software pool and schedules them with any policy.
-
-Timing model of one ISA instruction (Section III-D gives them barrier
-semantics, so the issuing core is busy for the whole duration):
-
-    issue cycles  +  NoC round trip  +  DMU processing cycles
-
-The DMU processes instructions sequentially, which is modeled with a lock
-around the unit.  When the DMU reports that a structure is full, the
-instruction blocks: the core waits until a ``finish_task`` frees entries and
-then retries (only the DMU processing part is re-attempted — the instruction
-sits at the DMU, it is not re-executed by the core).
+issues the four TDM ISA instructions (the issue path shared with Task
+Superscalar, :mod:`repro.runtime.dmu_runtime`); the DMU tracks tasks and
+dependences and exposes ready tasks through its Ready Queue; the runtime
+drains ready tasks into its software pool and schedules them with any
+policy.  Workers pop that pool under the runtime lock, in the worker loop
+(:mod:`repro.sim.thread`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
-from ..core.dmu import DependenceManagementUnit
-from ..schedulers.base import ReadyEntry
-from ..sim.events import Acquire, NotificationEvent, WaitEvent
-from ..sim.resources import Lock
-from ..sim.timeline import Phase
-from .base import RuntimeGenerator, RuntimeSystem
-from .task import TaskDefinition, TaskInstance
+from .base import RuntimeGenerator
+from .dmu_runtime import DMURuntime
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.thread import SimThread
 
 
-class TDMRuntime(RuntimeSystem):
+class TDMRuntime(DMURuntime):
     """Runtime system using the DMU for dependence tracking."""
 
     name = "tdm"
-    uses_dmu = True
     honors_scheduler = True
-    inline_software_pop = True
 
     def __init__(self, config, scheduler, engine, noc) -> None:
         super().__init__(config, scheduler, engine, noc)
-        self._dmu = DependenceManagementUnit(config.dmu)
-        self.dmu_lock = Lock(engine, "dmu")
-        self._acquire_dmu_lock = Acquire(self.dmu_lock)
-        self.space_freed = NotificationEvent(engine, "dmu-space")
-        self.blocked_instruction_events = 0
-        self.blocked_cycles = 0
         # Fixed per-operation costs hoisted out of the per-yield hot path.
         costs = self.costs
-        self._issue_cycles = config.dmu.instruction_issue_cycles
-        self._alloc_cycles = costs.tdm_task_alloc_cycles()
-        self._finish_cycles = costs.tdm_finish_cycles()
         self._drain_cycles = costs.tdm_drain_cycles()
         self._push_cycles = costs.tdm_push_cycles()
         self._pop_cycles = costs.tdm_pop_cycles()
-        self._lock_cycles = costs.lock_acquire_cycles()
-        # NoC round trips are pure per-core constants; the table lookup
-        # replaces a bounds-checking method call on every ISA instruction.
-        self._noc_round_trip = tuple(
-            noc.round_trip_cycles(core) for core in range(config.chip.num_cores)
-        )
-
-    @property
-    def dmu(self) -> DependenceManagementUnit:
-        return self._dmu
-
-    # ------------------------------------------------------------------ ISA issue helper
-    def _issue(self, thread: "SimThread", operation: Callable[[], object]) -> RuntimeGenerator:
-        """Issue one TDM ISA instruction and return its result.
-
-        Retries (without re-paying issue and NoC latency) whenever the DMU
-        reports a full structure, waiting for space to be freed in between.
-        Time spent stalled on a full DMU is accounted as IDLE (the core makes
-        no progress and is clock gated), not as dependence-management work.
-
-        The hot call sites (:meth:`create_task`, :meth:`finish_task`,
-        :meth:`_drain_ready`) inline this sequence instead of delegating
-        through ``yield from`` — one less generator allocated and one less
-        frame on the ``send()`` chain per ISA instruction — and fall back to
-        :meth:`_finish_blocked_issue` for the cold full-structure path.  This
-        generator is kept as the single documented reference (and for any
-        future instruction off the hot path); keep the two in sync.
-
-        DMU results are pooled objects, valid only while the DMU lock is
-        held plus the resumption segment that releases it (the simulator is
-        cooperative: another core can only issue an instruction after this
-        process yields).  Call sites must copy any field they need beyond
-        that into locals; the cold path detaches a private copy because its
-        result crosses a wait.
-        """
-        yield self._issue_cycles
-        yield self._noc_round_trip[thread.core_id]
-        space_target = self.space_freed.wait_target()
-        yield self._acquire_dmu_lock
-        result = operation()
-        if result.blocked:
-            result = yield from self._finish_blocked_issue(thread, operation, space_target)
-        else:
-            yield result.cycles
-            self.dmu_lock.release(thread.process)
-        return result
 
     def _finish_blocked_issue(
         self, thread: "SimThread", operation: Callable[[], object], space_target
     ) -> RuntimeGenerator:
-        """Cold path of :meth:`_issue`: the DMU reported a full structure.
+        """The shared blocked path, then the response's NoC crossing."""
+        result = yield from super()._finish_blocked_issue(thread, operation, space_target)
+        # The response still crosses the NoC once after a blocked wait.
+        yield self._noc_round_trip[thread.core_id] // 2
+        return result
 
-        Entered with the DMU lock held and ``operation()`` just blocked;
-        ``space_target`` is the notification target captured *before* the
-        lock acquisition, so a ``finish_task`` that freed space while this
-        core waited for the lock is not missed.  Returns the completed
-        result after charging the post-wait NoC response crossing.
+    def _publish_ready(self, thread: "SimThread", created, result) -> RuntimeGenerator:
+        """Drain the Ready Queue into the software pool.
+
+        "Just after notifying a task has finished, the runtime system uses
+        get_ready_task to request the successors that have just become
+        ready."  After a creation the creating thread drains the task, so it
+        reaches the software pool immediately (no other thread polls the
+        DMU).  ``get_ready_task`` is issued until the DMU returns null.
         """
-        process = thread.process
-        engine = self.engine
-        timeline = thread.timeline
-        while True:
-            self.dmu_lock.release(process)
-            self.blocked_instruction_events += 1
-            blocked_since = engine.now
-            timeline.begin(Phase.IDLE, engine.now)
-            yield WaitEvent(space_target)
-            timeline.begin(Phase.DEPS, engine.now)
-            self.blocked_cycles += engine.now - blocked_since
-            space_target = self.space_freed.wait_target()
-            yield self._acquire_dmu_lock
-            result = operation()
-            if result.blocked:
-                continue
-            # Detach from the pooled instance: the NoC-crossing yield below
-            # lets another core issue an instruction that would recycle it.
-            result = result.detach()
-            yield result.cycles
-            self.dmu_lock.release(process)
-            # The response still crosses the NoC once after a blocked wait.
-            yield self._noc_round_trip[thread.core_id] // 2
-            return result
-
-    def _drain_ready(self, thread: "SimThread") -> RuntimeGenerator:
-        """Issue ``get_ready_task`` until the DMU returns null, filling the pool."""
-        # Inlined _issue (see its docstring): locals hoisted because one
-        # drain loop runs after every task finish.
-        dmu = self._dmu
+        # Inlined issue (see repro.runtime.dmu_runtime): locals hoisted
+        # because one drain loop runs after every task finish.
         dmu_lock = self.dmu_lock
         process = thread.process
         issue_cycles = self._issue_cycles
         round_trip = self._noc_round_trip[thread.core_id]
         acquire_dmu = self._acquire_dmu_lock
         wait_target = self.space_freed.wait_target
-        get_ready = dmu.get_ready_task
-        drained = 0
+        get_ready = self._dmu.get_ready_task
         while True:
             yield issue_cycles
             yield round_trip
             space_target = wait_target()
             yield acquire_dmu
-            result = get_ready()
-            if result.blocked:
-                result = yield from self._finish_blocked_issue(thread, get_ready, space_target)
+            ready = get_ready()
+            if ready.blocked:
+                ready = yield from self._finish_blocked_issue(thread, get_ready, space_target)
             else:
-                yield result.cycles
+                yield ready.cycles
                 dmu_lock.release(process)
-            if result.is_null:
-                return drained
+            if ready.is_null:
+                return None
             # Snapshot before yielding: the pooled result is recycled by the
             # next get_ready_task once the DMU lock is free.
-            instance = self.resolve_descriptor(result.descriptor_address)
-            successor_count = result.num_successors
+            instance = self.resolve_descriptor(ready.descriptor_address)
+            successor_count = ready.num_successors
             yield self._drain_cycles
             yield self.acquire_runtime_lock
             yield self._push_cycles
@@ -179,120 +87,8 @@ class TDMRuntime(RuntimeSystem):
                 successor_count=successor_count,
             )
             self.runtime_lock.release(process)
-            drained += 1
-
-    # ------------------------------------------------------------------ creation
-    def create_task(
-        self, thread: "SimThread", definition: TaskDefinition, region_index: int
-    ) -> RuntimeGenerator:
-        instance = self.new_instance(definition, region_index)
-        descriptor = instance.descriptor_address
-        # Inlined _issue (see its docstring) for the 2 + num_dependences
-        # instructions every creation issues; the cold blocked path is
-        # delegated to _finish_blocked_issue.
-        dmu = self._dmu
-        dmu_lock = self.dmu_lock
-        process = thread.process
-        issue_cycles = self._issue_cycles
-        round_trip = self._noc_round_trip[thread.core_id]
-        acquire_dmu = self._acquire_dmu_lock
-        wait_target = self.space_freed.wait_target
-
-        yield self._alloc_cycles
-        yield issue_cycles
-        yield round_trip
-        space_target = wait_target()
-        yield acquire_dmu
-        result = dmu.create_task(descriptor)
-        if result.blocked:
-            yield from self._finish_blocked_issue(
-                thread, lambda: dmu.create_task(descriptor), space_target
-            )
-        else:
-            yield result.cycles
-            dmu_lock.release(process)
-
-        for dependence in definition.dependences:
-            yield issue_cycles
-            yield round_trip
-            space_target = wait_target()
-            yield acquire_dmu
-            result = dmu.add_dependence(
-                descriptor, dependence.address, dependence.size, dependence.direction
-            )
-            if result.blocked:
-                yield from self._finish_blocked_issue(
-                    thread,
-                    lambda dep=dependence: dmu.add_dependence(
-                        descriptor, dep.address, dep.size, dep.direction
-                    ),
-                    space_target,
-                )
-            else:
-                yield result.cycles
-                dmu_lock.release(process)
-
-        yield issue_cycles
-        yield round_trip
-        space_target = wait_target()
-        yield acquire_dmu
-        completion = dmu.complete_creation(descriptor)
-        if completion.blocked:
-            completion = yield from self._finish_blocked_issue(
-                thread, lambda: dmu.complete_creation(descriptor), space_target
-            )
-        else:
-            yield completion.cycles
-            dmu_lock.release(process)
-        if completion.became_ready:
-            # The creating thread drains the task so it reaches the software
-            # pool immediately (no other thread polls the DMU).
-            yield from self._drain_ready(thread)
-        return instance
-
-    # ------------------------------------------------------------------ scheduling
-    def try_get_task(self, thread: "SimThread") -> RuntimeGenerator:
-        # The worker wake loop inlines this exact sequence when
-        # inline_software_pop is set (see repro/sim/thread.py) — keep in sync.
-        if not self.pool.peek_available():
-            return None
-        yield self.acquire_runtime_lock
-        yield self._lock_cycles
-        entry: Optional[ReadyEntry] = self.pool.pop(thread.core_id)
-        if entry is not None:
-            yield self._pop_cycles
-        self.runtime_lock.release(thread.process)
-        return entry
-
-    # ------------------------------------------------------------------ finalization
-    def finish_task(self, thread: "SimThread", instance: TaskInstance) -> RuntimeGenerator:
-        descriptor = instance.descriptor_address
-        dmu = self._dmu
-        yield self._finish_cycles
-        # Inlined _issue (see its docstring): one finish instruction per task.
-        yield self._issue_cycles
-        yield self._noc_round_trip[thread.core_id]
-        space_target = self.space_freed.wait_target()
-        yield self._acquire_dmu_lock
-        result = dmu.finish_task(descriptor)
-        if result.blocked:
-            yield from self._finish_blocked_issue(
-                thread, lambda: dmu.finish_task(descriptor), space_target
-            )
-        else:
-            yield result.cycles
-            self.dmu_lock.release(thread.process)
-        instance.mark_finished(self.engine.now)
-        self.tasks_finished += 1
-        # Entries were freed in the DMU: unblock any stalled creation.
-        self.space_freed.notify_all()
-        # "Just after notifying a task has finished, the runtime system uses
-        # get_ready_task to request the successors that have just become ready."
-        yield from self._drain_ready(thread)
-        return None
 
     def stats(self):
         data = super().stats()
-        data["dmu_blocked_events"] = self.blocked_instruction_events
         data["dmu_blocked_cycles"] = self.blocked_cycles
         return data

@@ -253,9 +253,15 @@ class ResultsService:
             del self._failures[key]
 
     def _check_queue_budget(self, new_sims: int) -> None:
-        """Refuse renders that would overflow the simulation queue budget."""
+        """Refuse renders that would overflow the simulation queue budget.
+
+        A render is refused only while simulations already wait behind the
+        pool: on a daemon with nothing queued, a render larger than the
+        budget is admitted, or it would be refused on every retry.
+        """
         projected = self.inflight_sims + new_sims
-        if projected <= self.workers + self.queue_budget:
+        nothing_queued = self.inflight_sims <= self.workers
+        if nothing_queued or projected <= self.workers + self.queue_budget:
             return
         self.rejected_busy += 1
         # Rough drain estimate: a full queue at ~1s per simulation slot.

@@ -34,7 +34,6 @@ class RegionState:
         self.region = region
         self.index = index
         self.total_tasks = region.num_tasks
-        self.created = 0
         self.finished = 0
         self.all_created = False
         self.done_event = engine.event(f"region{index}.done")
@@ -42,9 +41,6 @@ class RegionState:
     @property
     def done(self) -> bool:
         return self.done_event.triggered
-
-    def note_created(self) -> None:
-        self.created += 1
 
     def note_all_created(self) -> None:
         self.all_created = True
@@ -60,24 +56,6 @@ class RegionState:
         return False
 
 
-def _inline_pop_enabled(runtime) -> bool:
-    """Whether the worker loops may inline the software-pool pop.
-
-    True only when the class that provides the runtime's *active*
-    ``try_get_task`` also declares ``inline_software_pop`` in its own body —
-    the declaration asserts "my try_get_task is exactly the inlined
-    sequence".  A subclass that overrides ``try_get_task`` without
-    re-declaring the flag falls back to the generator path instead of being
-    silently bypassed with stale timing.
-    """
-    if not runtime.inline_software_pop:
-        return False
-    for klass in type(runtime).__mro__:
-        if "try_get_task" in vars(klass):
-            return "inline_software_pop" in vars(klass)
-    return False
-
-
 class SimThread:
     """One hardware thread (the simulation pins one thread per core)."""
 
@@ -88,29 +66,44 @@ class SimThread:
         self.is_master = is_master
         self.timeline: ThreadTimeline = machine.recorder.thread(thread_id)
         self.process = None  # assigned by the machine when the process starts
-        self.tasks_executed = 0
 
     # ------------------------------------------------------------------ process body
     def run(self) -> Iterator:
         """Process body: iterate over the program's parallel regions.
 
-        The worker-side loop is inlined here rather than delegated through
-        ``yield from self._worker_loop(...)``: every ``send`` into a process
-        traverses the whole generator-delegation chain, and worker events
-        are the majority of all simulation events, so one less frame on that
-        chain is a measurable win.  ``_worker_loop`` (the same loop body) is
-        kept for the master thread, which enters it only at the region
-        barrier.
+        Master and workers run one loop.  In each region the master first
+        creates the region's tasks, then reaches the barrier and, like
+        every worker, runs the worker loop until the region drains.  The
+        loop is written directly in this generator, not delegated through
+        ``yield from``: every ``send`` into a process traverses the whole
+        delegation chain, and worker events are the majority of all
+        simulation events.
         """
         machine = self.machine
         engine = machine.engine
-        self.timeline.begin(Phase.IDLE, engine.now)
-        if self.is_master:
-            runtime = machine.runtime
-            timeline = self.timeline
-            clock_ghz = machine.clock_ghz
-            for region_state in machine.region_states:
-                # Master side, inlined like the worker loop below.
+        runtime = machine.runtime
+        timeline = self.timeline
+        clock_ghz = machine.clock_ghz
+        is_master = self.is_master
+        # Bound methods hoisted out of the wake loop (it runs once per
+        # worker wake-up, the most frequent control path in a simulation).
+        wait_target = runtime.wake_channel.wait_target
+        work_available = runtime.work_available_hint
+        core_id = self.core_id
+        process = self.process
+        # A runtime that defines try_get_task schedules from its own queue;
+        # every other runtime is popped from its software pool, inline below
+        # (one less generator and send() frame per pop attempt).
+        pop_elsewhere = runtime.try_get_task
+        if pop_elsewhere is None:
+            pool = runtime.pool
+            acquire_runtime = runtime.acquire_runtime_lock
+            lock_cycles = runtime._lock_cycles
+            pop_cycles = runtime._pop_cycles
+            runtime_lock = runtime.runtime_lock
+        timeline.begin(Phase.IDLE, engine.now)
+        for region_state in machine.region_states:
+            if is_master:
                 region = region_state.region
                 if region.sequential_us_before > 0:
                     timeline.begin(Phase.EXEC, engine.now)
@@ -121,59 +114,32 @@ class SimThread:
                         yield us_to_cycles(definition.creation_work_us, clock_ghz)
                     timeline.begin(Phase.DEPS, engine.now)
                     yield from runtime.create_task(self, definition, region_state.index)
-                    region_state.note_created()
                 region_state.note_all_created()
                 runtime.notify_workers()
                 # The master reached the barrier: behave as a worker until
                 # the region drains.
-                yield from self._worker_loop(region_state)
-            self.timeline.begin(Phase.IDLE, engine.now)
-            return None
-
-        runtime = machine.runtime
-        timeline = self.timeline
-        # Bound methods hoisted out of the wake loop (it runs once per
-        # worker wake-up, the most frequent control path in a simulation).
-        wait_target = runtime.wake_channel.wait_target
-        work_available = runtime.work_available_hint
-        core_id = self.core_id
-        process = self.process
-        inline_pop = _inline_pop_enabled(runtime)
-        if inline_pop:
-            pool = runtime.pool
-            acquire_runtime = runtime.acquire_runtime_lock
-            lock_cycles = runtime._lock_cycles
-            pop_cycles = runtime._pop_cycles
-            runtime_lock = runtime.runtime_lock
-        for region_state in machine.region_states:
-            # Keep this block in sync with _worker_loop (it is the same loop,
-            # inlined to shorten the per-event delegation chain).
             done_event = region_state.done_event
+            # Reusable WaitEvent command: the target event changes per wait,
+            # so the command is mutated in place instead of allocated per
+            # idle spin.
             wait_command = WaitEvent(done_event)
             while not done_event.triggered:
                 wake_target = wait_target()
                 # The SCHED phase only opens when a pop will actually be
-                # attempted.  On a no-work wake-up the old begin(SCHED)/
-                # begin(IDLE) pair at the same cycle recorded a zero-duration
-                # visit that the timeline discards anyway; skipping it leaves
-                # every phase total identical.
+                # attempted.  On a no-work wake-up a begin(SCHED)/begin(IDLE)
+                # pair at the same cycle would record a zero-duration visit
+                # that the timeline discards anyway.
                 if work_available():
                     timeline.begin(Phase.SCHED, engine.now)
-                    if inline_pop:
-                        # try_get_task, inlined (identical yields; see
-                        # RuntimeSystem.inline_software_pop): one less
-                        # generator + send() frame per pop attempt.
-                        if pool.peek_available():
-                            yield acquire_runtime
-                            yield lock_cycles
-                            entry = pool.pop(core_id)
-                            if entry is not None:
-                                yield pop_cycles
-                            runtime_lock.release(process)
-                        else:
-                            entry = None
+                    if pop_elsewhere is not None:
+                        entry = yield from pop_elsewhere(self)
                     else:
-                        entry = yield from runtime.try_get_task(self)
+                        yield acquire_runtime
+                        yield lock_cycles
+                        entry = pool.pop(core_id)
+                        if entry is not None:
+                            yield pop_cycles
+                        runtime_lock.release(process)
                 else:
                     entry = None
                 if entry is None:
@@ -187,79 +153,14 @@ class SimThread:
                 timeline.begin(Phase.EXEC, engine.now)
                 task.mark_running(engine.now, core_id)
                 yield machine.execution_cycles(core_id, task)
-                self.tasks_executed += 1
+                # Task finalization (dependence management work).
                 timeline.begin(Phase.DEPS, engine.now)
                 yield from runtime.finish_task(self, task)
                 if region_state.note_finished():
                     runtime.notify_workers()
             timeline.begin(Phase.IDLE, engine.now)
-        self.timeline.begin(Phase.IDLE, engine.now)
+        timeline.begin(Phase.IDLE, engine.now)
         return None
-
-    # ------------------------------------------------------------------ workers
-    def _worker_loop(self, region_state: RegionState) -> Iterator:
-        machine = self.machine
-        engine = machine.engine
-        runtime = machine.runtime
-        timeline = self.timeline
-        wait_target = runtime.wake_channel.wait_target
-        work_available = runtime.work_available_hint
-        core_id = self.core_id
-        process = self.process
-        inline_pop = _inline_pop_enabled(runtime)
-        if inline_pop:
-            pool = runtime.pool
-            acquire_runtime = runtime.acquire_runtime_lock
-            lock_cycles = runtime._lock_cycles
-            pop_cycles = runtime._pop_cycles
-            runtime_lock = runtime.runtime_lock
-        done_event = region_state.done_event
-        # Reusable WaitEvent command: the target event changes per wait, so
-        # the command is mutated in place instead of allocated per idle spin.
-        wait_command = WaitEvent(done_event)
-        while not done_event.triggered:
-            wake_target = wait_target()
-            # Skip the generator round trip entirely when no work is visible;
-            # try_get_task performs the same hint check first, so the timing
-            # and pool behaviour are identical either way.  SCHED opens only
-            # when a pop is attempted (see the inlined loop in run()).
-            if work_available():
-                timeline.begin(Phase.SCHED, engine.now)
-                if inline_pop:
-                    # try_get_task, inlined (identical yields; see
-                    # RuntimeSystem.inline_software_pop).
-                    if pool.peek_available():
-                        yield acquire_runtime
-                        yield lock_cycles
-                        entry = pool.pop(core_id)
-                        if entry is not None:
-                            yield pop_cycles
-                        runtime_lock.release(process)
-                    else:
-                        entry = None
-                else:
-                    entry = yield from runtime.try_get_task(self)
-            else:
-                entry = None
-            if entry is None:
-                timeline.begin(Phase.IDLE, engine.now)
-                if done_event.triggered:
-                    break
-                wait_command.event = wake_target
-                yield wait_command
-                continue
-            task = entry.task
-            # Task execution.
-            timeline.begin(Phase.EXEC, engine.now)
-            task.mark_running(engine.now, core_id)
-            yield machine.execution_cycles(core_id, task)
-            self.tasks_executed += 1
-            # Task finalization (dependence management work).
-            timeline.begin(Phase.DEPS, engine.now)
-            yield from runtime.finish_task(self, task)
-            if region_state.note_finished():
-                runtime.notify_workers()
-        self.timeline.begin(Phase.IDLE, engine.now)
 
 
 def build_threads(machine: "Machine") -> List[SimThread]:

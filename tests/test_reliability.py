@@ -607,6 +607,13 @@ class TestDaemonDegradation:
         assert health["status"] == "degraded"
         assert any("queue" in reason for reason in health["degraded_reasons"])
 
+    def test_queue_budget_admits_any_render_on_an_idle_daemon(self):
+        # A render larger than workers + budget must not be refused when
+        # nothing is queued, or every retry would be refused too.
+        service = ResultsService(workers=1, queue_budget=0)
+        service._check_queue_budget(100)
+        assert service.rejected_busy == 0
+
     def test_validation_rejects_bad_knobs(self):
         with pytest.raises(ExperimentError):
             ResultsService(queue_budget=-1)

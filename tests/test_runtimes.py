@@ -14,7 +14,8 @@ from repro.sim.engine import Engine
 from repro.sim.machine import run_simulation
 from repro.sim.noc import NocModel
 from repro.sim.timeline import Phase
-from repro.config import CostModelConfig
+from repro.config import CostModelConfig, DMUConfig
+from repro.workloads.registry import create_workload
 
 from tests.util import diamond_program, make_config
 
@@ -177,3 +178,112 @@ class TestMultiRegionAndSchedulers:
         config = make_config(runtime="software", scheduler=scheduler)
         result = run_simulation(small_random_program, config)
         assert result.num_tasks_executed == small_random_program.num_tasks
+
+
+# Cholesky at scale 0.05 (built for TDM) on 8 cores with a 16-entry DMU:
+# every structure fills, so both DMU runtimes take the blocked-instruction
+# path hundreds of times.  TDM and Task Superscalar share that path, so the
+# whole serialized ``runtime_stats`` of each is pinned, not just its cycles.
+TINY_DMU = DMUConfig(
+    tat_entries=16,
+    dat_entries=16,
+    successor_list_entries=16,
+    dependence_list_entries=16,
+    reader_list_entries=16,
+    ready_queue_entries=16,
+)
+
+
+PINNED_TINY_DMU = {
+    "tdm": (
+        30_091_478,
+        {
+            "runtime": "tdm",
+            "tasks_created": 364,
+            "tasks_finished": 364,
+            "pool_pushes": 364,
+            "pool_pops": 364,
+            "pool_peak": 2,
+            "lock_acquisitions": 1669,
+            "lock_wait_cycles": 1_285_119,
+            "dmu": {
+                "blocked_by_structure": {"DAT": 326, "TAT": 9},
+                "dependences_added": 936,
+                "instructions": {
+                    "add_dependence": 936,
+                    "complete_creation": 364,
+                    "create_task": 364,
+                    "finish_task": 364,
+                    "get_ready_task": 896,
+                },
+                "null_ready_pops": 532,
+                "ready_pops": 364,
+                "structure_accesses": {
+                    "DAT": 1996, "DLA": 2028, "DepTable": 2977, "RLA": 1880,
+                    "ReadyQ": 1260, "SLA": 1308, "TAT": 2756, "TaskTable": 3404,
+                },
+                "tasks_created": 364,
+                "tasks_finished": 364,
+                "total_accesses": 17609,
+                "total_blocked": 335,
+                "total_cycles": 17609,
+                "total_instructions": 2924,
+            },
+            "dmu_blocked_events": 335,
+            "dmu_blocked_cycles": 28_081_887,
+        },
+    ),
+    "task_superscalar": (
+        29_160_480,
+        {
+            "runtime": "task_superscalar",
+            "tasks_created": 364,
+            "tasks_finished": 364,
+            "pool_pushes": 0,
+            "pool_pops": 364,
+            "pool_peak": 0,
+            "lock_acquisitions": 0,
+            "lock_wait_cycles": 0,
+            "dmu": {
+                "blocked_by_structure": {"DAT": 321, "TAT": 9},
+                "dependences_added": 936,
+                "instructions": {
+                    "add_dependence": 936,
+                    "complete_creation": 364,
+                    "create_task": 364,
+                    "finish_task": 364,
+                    "get_ready_task": 1233,
+                },
+                "null_ready_pops": 869,
+                "ready_pops": 364,
+                "structure_accesses": {
+                    "DAT": 1988, "DLA": 2028, "DepTable": 2967, "RLA": 1880,
+                    "ReadyQ": 1597, "SLA": 1313, "TAT": 2756, "TaskTable": 3419,
+                },
+                "tasks_created": 364,
+                "tasks_finished": 364,
+                "total_accesses": 17948,
+                "total_blocked": 330,
+                "total_cycles": 17948,
+                "total_instructions": 3261,
+            },
+            "dmu_blocked_events": 330,
+        },
+    ),
+}
+
+
+class TestDMUBlockedPath:
+    """The shared blocked-instruction path of both DMU runtimes, end to end."""
+
+    @pytest.fixture(scope="class")
+    def program(self):
+        return create_workload("cholesky", scale=0.05, runtime="tdm").build_program()
+
+    @pytest.mark.parametrize("runtime", sorted(PINNED_TINY_DMU))
+    def test_tiny_dmu_run_is_pinned(self, runtime, program):
+        cycles, stats = PINNED_TINY_DMU[runtime]
+        result = run_simulation(program, make_config(runtime=runtime, dmu=TINY_DMU))
+        assert result.runtime_stats["dmu_blocked_events"] > 0
+        assert result.total_cycles == cycles
+        assert result.runtime_stats == stats

@@ -68,7 +68,7 @@ def reference_dmu_installed() -> Iterator[List[object]]:
     that the reference really ran.  Only in-process (serial) simulations
     see the swap.
     """
-    from repro.runtime import task_superscalar, tdm
+    from repro.runtime import dmu_runtime
     from tests.reference_dmu import ReferenceDMU
 
     built: List[object] = []
@@ -79,8 +79,7 @@ def reference_dmu_installed() -> Iterator[List[object]]:
         return dmu
 
     with pytest.MonkeyPatch.context() as patch:
-        for module in (tdm, task_superscalar):
-            patch.setattr(module, "DependenceManagementUnit", build)
+        patch.setattr(dmu_runtime, "DependenceManagementUnit", build)
         yield built
 
 
